@@ -16,14 +16,13 @@ from .bounds import (BoundCheck, BoundReport, Inapplicable,
 from .certificates import (CertificateError, certificate_set,
                            dump_certificate, load_certificate,
                            packing_certificate, reverify)
-from .connectivity import (disjoint_paths, fan, local_connectivity,
-                           vertex_connectivity)
+from .connectivity import disjoint_paths, vertex_connectivity
 from .construct import (ConstructionError, ConstructionResult,
                         construct_general_lex, construct_path_lex,
                         construct_tree_lex, lane_fan)
 from .graphs import (Graph, ProductGraph, cartesian_product, family,
-                     graph_from_edge_list, is_connected, lexicographic_product,
-                     min_degree, parse_edge_list)
+                     is_connected, lexicographic_product, min_degree,
+                     parse_edge_list)
 from .steiner import (DEFAULT_BUDGET, GCResult, SteinerTree, TreePacking,
                       Verdict, generalized_connectivity, kappa3,
                       max_tree_packing, verify_packing)
@@ -37,12 +36,12 @@ __all__ = [
     "cartesian_kappa3_upper", "cartesian_kappa_formula", "cartesian_product",
     "certificate_set", "consistency_report", "construct_general_lex",
     "construct_path_lex", "construct_tree_lex", "disjoint_paths",
-    "dump_certificate", "family", "fan", "generalized_connectivity",
-    "graph_from_edge_list", "is_connected", "kappa3",
+    "dump_certificate", "family", "generalized_connectivity",
+    "is_connected", "kappa3",
     "kappa3_floor_from_kappa", "kappa_ceiling_from_kappa3",
     "kappa_k_complete", "lane_fan", "lex_kappa3_lower", "lex_kappa3_upper",
     "lex_kappa_formula", "lexicographic_product", "load_certificate",
-    "local_connectivity", "max_tree_packing", "min_degree",
+    "max_tree_packing", "min_degree",
     "packing_certificate", "parse_edge_list", "reverify",
     "vertex_connectivity", "__version__",
 ]

@@ -10,6 +10,7 @@ be inexact (budget) or too expensive (product size) are skipped likewise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq, ge, le
 
 from .connectivity import vertex_connectivity
 from .graphs import (Graph, cartesian_product, is_complete, is_connected,
@@ -18,7 +19,15 @@ from .steiner import DEFAULT_BUDGET, kappa3
 
 
 class Inapplicable(ValueError):
-    """The input does not satisfy a bound's hypothesis."""
+    """The input does not satisfy a bound's hypothesis.
+
+    `kind` names the skip in a report: "hypothesis", "budget" when a value
+    the bound needs ran out of budget, or "size" when the oracle would not
+    take the input."""
+
+    def __init__(self, reason: str, kind: str = "hypothesis"):
+        super().__init__(reason)
+        self.kind = kind
 
 
 def kappa_k_complete(n: int, k: int) -> int:
@@ -63,7 +72,7 @@ def cartesian_kappa3_upper(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET) -> 
     kg, kh = vertex_connectivity(G), vertex_connectivity(H)
     k3g, k3h = kappa3(G, budget=budget), kappa3(H, budget=budget)
     if not (k3g.exact and k3h.exact):
-        raise Inapplicable("factor kappa_3 exhausted its budget")
+        raise Inapplicable("factor kappa_3 exhausted its budget", "budget")
     return min(kappa_ceiling_from_kappa3(k3g.value, kg) * H.n,
                kappa_ceiling_from_kappa3(k3h.value, kh) * G.n,
                min_degree(G) + min_degree(H))
@@ -90,7 +99,7 @@ def lex_kappa3_upper(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET) -> int:
         raise Inapplicable("both factors must be connected")
     k3g = kappa3(G, budget=budget)
     if not k3g.exact:
-        raise Inapplicable("factor kappa_3 exhausted its budget")
+        raise Inapplicable("factor kappa_3 exhausted its budget", "budget")
     return kappa_ceiling_from_kappa3(k3g.value, vertex_connectivity(G)) * H.n
 
 
@@ -102,7 +111,7 @@ def lex_kappa3_lower(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET) -> int:
         raise Inapplicable("both factors must be connected")
     k3g = kappa3(G, budget=budget)
     if not k3g.exact:
-        raise Inapplicable("factor kappa_3 exhausted its budget")
+        raise Inapplicable("factor kappa_3 exhausted its budget", "budget")
     return k3g.value * H.n
 
 
@@ -134,7 +143,6 @@ class BoundReport:
     kappa3_h: object
     s: int
     r: int
-    r1: int
     r2: int
     bounds: dict = field(default_factory=dict)
     oracle: dict = field(default_factory=dict)
@@ -150,7 +158,7 @@ class BoundReport:
                         "kappa_g": self.kappa_g, "kappa_h": self.kappa_h,
                         "delta_g": self.delta_g, "delta_h": self.delta_h,
                         "kappa3_g": self.kappa3_g, "kappa3_h": self.kappa3_h,
-                        "s": self.s, "r": self.r, "r1": self.r1, "r2": self.r2},
+                        "s": self.s, "r": self.r, "r2": self.r2},
             "bounds": dict(self.bounds),
             "oracle": dict(self.oracle),
             "checks": [c.as_dict() for c in self.checks],
@@ -169,19 +177,45 @@ class BoundReport:
 CSV_FIELDS = ("pair", "check", "status", "bound", "observed", "reason")
 
 
-def _check_cmp(name, bound, observed, ok):
-    status = "pass" if ok else "fail"
-    return BoundCheck(name, status, bound, observed)
+# product checks whose bound the report also keeps in `bounds`
+_RECORDED = frozenset(("cartesian_kappa_formula", "cartesian_kappa3_sum_floor",
+                       "cartesian_kappa3_ceiling", "lex_kappa_formula",
+                       "lex_kappa3_ceiling", "lex_kappa3_floor"))
 
 
-def _skip(name, reason):
-    if "budget" in reason:
-        kind = "budget"
-    elif "size limit" in reason:
-        kind = "size"
+def _need(ok, reason, kind="hypothesis"):
+    if not ok:
+        raise Inapplicable(reason, kind)
+
+
+def _value(x):
+    """A measured value, or raise anew the Inapplicable kept in its place
+    (a stored exception never raised holds no traceback)."""
+    if isinstance(x, Inapplicable):
+        raise Inapplicable(str(x), x.kind)
+    return x
+
+
+def _factor_checks(tag, X, kx, dx, k3x):
+    """Specs comparing one factor's kappa_3 with its kappa and min degree."""
+    if k3x is None:
+        k3 = Inapplicable("factor is disconnected")
+    elif X.n < 3:
+        k3 = Inapplicable("needs at least three vertices")
+    elif not k3x.exact:
+        k3 = Inapplicable("budget exhausted", "budget")
     else:
-        kind = "hypothesis"
-    return BoundCheck(name, "skipped: " + kind, reason=reason)
+        k3 = k3x.value
+
+    def adjacent_ceiling():
+        _value(k3)  # a missing factor value outranks the pair hypothesis
+        _need(any(X.degree(u) == dx and X.degree(v) == dx for u, v in X.edges()),
+              "no adjacent minimum-degree pair")
+        return dx - 1
+
+    return [("kappa3_le_kappa_" + tag, lambda: kx, k3, le),
+            ("adjacent_min_degree_ceiling_" + tag, adjacent_ceiling, k3, le),
+            ("kappa3_floor_from_kappa_" + tag, lambda: kappa3_floor_from_kappa(kx), k3, ge)]
 
 
 def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
@@ -198,8 +232,8 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
     conn_g, conn_h = is_connected(G), is_connected(H)
     kg = vertex_connectivity(G)
     kh = vertex_connectivity(H)
-    dg = min_degree(G) if n else 0
-    dh = min_degree(H) if m else 0
+    dg = min_degree(G)
+    dh = min_degree(H)
     k3g = kappa3(G, budget=budget) if conn_g else None
     k3h = kappa3(H, budget=budget) if conn_h else None
     s, r = divmod(kg, 4)
@@ -207,97 +241,47 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
                          delta_h=dh,
                          kappa3_g=None if k3g is None else k3g.value,
                          kappa3_h=None if k3h is None else k3h.value,
-                         s=s, r=r, r1=kg % 4, r2=kh % 4)
-    checks = report.checks
-
-    def factor_checks(tag, X, connected, kx, dx, k3x):
-        if not connected:
-            for nm in ("kappa3_le_kappa", "adjacent_min_degree_ceiling",
-                       "kappa3_floor_from_kappa"):
-                checks.append(_skip("%s_%s" % (nm, tag), "factor is disconnected"))
-            return
-        if X.n < 3:
-            for nm in ("kappa3_le_kappa", "adjacent_min_degree_ceiling",
-                       "kappa3_floor_from_kappa"):
-                checks.append(_skip("%s_%s" % (nm, tag),
-                                    "needs at least three vertices"))
-            return
-        if not k3x.exact:
-            for nm in ("kappa3_le_kappa", "adjacent_min_degree_ceiling",
-                       "kappa3_floor_from_kappa"):
-                checks.append(_skip("%s_%s" % (nm, tag), "budget exhausted"))
-            return
-        checks.append(_check_cmp("kappa3_le_kappa_" + tag, kx, k3x.value,
-                                 k3x.value <= kx))
-        pair_exists = any(X.degree(u) == dx and X.degree(v) == dx
-                          for u, v in X.edges())
-        if pair_exists:
-            checks.append(_check_cmp("adjacent_min_degree_ceiling_" + tag,
-                                     dx - 1, k3x.value, k3x.value <= dx - 1))
-        else:
-            checks.append(_skip("adjacent_min_degree_ceiling_" + tag,
-                                "no adjacent minimum-degree pair"))
-        floor = kappa3_floor_from_kappa(kx)
-        checks.append(_check_cmp("kappa3_floor_from_kappa_" + tag, floor,
-                                 k3x.value, k3x.value >= floor))
-
-    factor_checks("g", G, conn_g, kg, dg, k3g)
-    factor_checks("h", H, conn_h, kh, dh, k3h)
-
+                         s=s, r=r, r2=kh % 4)
     both_connected = conn_g and conn_h
-    factors_exact = (k3g is not None and k3g.exact
-                     and k3h is not None and k3h.exact)
 
     # measured product values
-    cart = cartesian_product(G, H) if n and m else None
-    lex = lexicographic_product(G, H) if n and m else None
-    kappa_cart = vertex_connectivity(cart) if cart is not None else None
-    kappa_lex = vertex_connectivity(lex) if lex is not None else None
+    cart = cartesian_product(G, H)
+    lex = lexicographic_product(G, H)
+    kappa_cart = vertex_connectivity(cart)
+    kappa_lex = vertex_connectivity(lex)
     report.oracle["kappa_cartesian"] = kappa_cart
     report.oracle["kappa_lex"] = kappa_lex
 
     def product_kappa3(P, label):
-        if P is None or not both_connected:
-            return None, "factor is disconnected"
+        report.oracle[label] = None
+        if not both_connected:
+            return Inapplicable("factor is disconnected")
         if P.n > product_oracle_limit:
-            return None, "product exceeds the oracle size limit (%d > %d)" \
-                % (P.n, product_oracle_limit)
+            return Inapplicable("product exceeds the oracle size limit (%d > %d)"
+                                % (P.n, product_oracle_limit), "size")
         got = kappa3(P, budget=budget)
         if not got.exact:
-            return None, "budget exhausted on the product"
+            return Inapplicable("budget exhausted on the product", "budget")
         report.oracle[label] = got.value
-        return got.value, ""
+        return got.value
 
-    k3_cart, why_cart = product_kappa3(cart, "kappa3_cartesian")
-    k3_lex, why_lex = product_kappa3(lex, "kappa3_lex")
-    if "kappa3_cartesian" not in report.oracle:
-        report.oracle["kappa3_cartesian"] = None
-    if "kappa3_lex" not in report.oracle:
-        report.oracle["kappa3_lex"] = None
+    k3_cart = product_kappa3(cart, "kappa3_cartesian")
+    k3_lex = product_kappa3(lex, "kappa3_lex")
 
-    # box product: kappa floor and the exact formula
-    if both_connected:
-        checks.append(_check_cmp("cartesian_kappa_sum_floor", kg + kh,
-                                 kappa_cart, kappa_cart >= kg + kh))
-    else:
-        checks.append(_skip("cartesian_kappa_sum_floor", "factor is disconnected"))
-    if n >= 2 and m >= 2:
-        formula = cartesian_kappa_formula(G, H)
-        report.bounds["cartesian_kappa_formula"] = formula
-        checks.append(_check_cmp("cartesian_kappa_formula", formula,
-                                 kappa_cart, kappa_cart == formula))
-    else:
-        checks.append(_skip("cartesian_kappa_formula", "factor is trivial"))
+    def cartesian_kappa_sum_floor():
+        _need(both_connected, "factor is disconnected")
+        return kg + kh
 
-    # box product: kappa_3 sandwich, factor order normalized so the larger
-    # factor kappa_3 drives the case split
-    if not both_connected:
-        checks.append(_skip("cartesian_kappa3_sum_floor", "factor is disconnected"))
-    elif n < 2 or m < 2:
-        checks.append(_skip("cartesian_kappa3_sum_floor", "factor is trivial"))
-    elif not factors_exact:
-        checks.append(_skip("cartesian_kappa3_sum_floor", "budget exhausted"))
-    else:
+    def cartesian_formula():
+        _need(n >= 2 and m >= 2, "factor is trivial")
+        return cartesian_kappa_formula(G, H)
+
+    def cartesian_kappa3_sum_floor():
+        """The box product's kappa_3 sandwich floor; the larger factor
+        kappa_3 drives its case split."""
+        _need(both_connected, "factor is disconnected")
+        _need(n >= 2 and m >= 2, "factor is trivial")
+        _need(k3g.exact and k3h.exact, "budget exhausted", "budget")
         # either factor order with the larger kappa_3 first is admissible;
         # on ties take the stronger of the two conclusions
         cands = []
@@ -305,62 +289,32 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
             cands.append((k3g.value, kg, k3h.value))
         if k3h.value >= k3g.value:
             cands.append((k3h.value, kh, k3g.value))
-        lower = max(a + b - (1 if ka == a else 0) for a, ka, b in cands)
-        report.bounds["cartesian_kappa3_sum_floor"] = lower
-        if k3_cart is None:
-            checks.append(_skip("cartesian_kappa3_sum_floor", why_cart))
-        else:
-            checks.append(_check_cmp("cartesian_kappa3_sum_floor", lower,
-                                     k3_cart, k3_cart >= lower))
+        return max(a + b - (1 if ka == a else 0) for a, ka, b in cands)
 
-    def upper_check(name, compute, observed, why_obs):
+    # (name, bound, observed, holds(observed, bound)); a bound raises
+    # Inapplicable, and an observed value is one, when the check is skipped
+    specs = _factor_checks("g", G, kg, dg, k3g) + _factor_checks("h", H, kh, dh, k3h) + [
+        ("cartesian_kappa_sum_floor", cartesian_kappa_sum_floor, kappa_cart, ge),
+        ("cartesian_kappa_formula", cartesian_formula, kappa_cart, eq),
+        ("cartesian_kappa3_sum_floor", cartesian_kappa3_sum_floor, k3_cart, ge),
+        ("cartesian_kappa3_ceiling",
+         lambda: cartesian_kappa3_upper(G, H, budget=budget), k3_cart, le),
+        ("lex_kappa_formula", lambda: lex_kappa_formula(G, H), kappa_lex, eq),
+        ("lex_kappa3_ceiling", lambda: lex_kappa3_upper(G, H, budget=budget), k3_lex, le),
+        ("lex_kappa3_floor", lambda: lex_kappa3_lower(G, H, budget=budget), k3_lex, ge),
+        # the plain kappa_3 <= kappa comparison holds on the products too
+        ("kappa3_le_kappa_cartesian", lambda: kappa_cart, k3_cart, le),
+        ("kappa3_le_kappa_lex", lambda: kappa_lex, k3_lex, le),
+    ]
+    for name, bound, observed, holds in specs:
         try:
-            value = compute()
+            value = bound()
+            if name in _RECORDED:
+                report.bounds[name] = value
+            got = _value(observed)
         except Inapplicable as exc:
-            checks.append(_skip(name, str(exc)))
-            return
-        report.bounds[name] = value
-        if observed is None:
-            checks.append(_skip(name, why_obs))
+            report.checks.append(BoundCheck(name, "skipped: " + exc.kind, reason=str(exc)))
         else:
-            checks.append(_check_cmp(name, value, observed, observed <= value))
-
-    upper_check("cartesian_kappa3_ceiling",
-                lambda: cartesian_kappa3_upper(G, H, budget=budget),
-                k3_cart, why_cart)
-
-    # lexicographic product
-    try:
-        formula = lex_kappa_formula(G, H)
-        report.bounds["lex_kappa_formula"] = formula
-        checks.append(_check_cmp("lex_kappa_formula", formula, kappa_lex,
-                                 kappa_lex == formula))
-    except Inapplicable as exc:
-        checks.append(_skip("lex_kappa_formula", str(exc)))
-
-    upper_check("lex_kappa3_ceiling",
-                lambda: lex_kappa3_upper(G, H, budget=budget),
-                k3_lex, why_lex)
-
-    try:
-        lower = lex_kappa3_lower(G, H, budget=budget)
-        report.bounds["lex_kappa3_floor"] = lower
-        if k3_lex is None:
-            checks.append(_skip("lex_kappa3_floor", why_lex))
-        else:
-            checks.append(_check_cmp("lex_kappa3_floor", lower, k3_lex,
-                                     k3_lex >= lower))
-    except Inapplicable as exc:
-        checks.append(_skip("lex_kappa3_floor", str(exc)))
-
-    # the plain kappa_3 <= kappa comparison holds on the products too
-    for label, k3_val, k_val, why in (
-            ("cartesian", k3_cart, kappa_cart, why_cart),
-            ("lex", k3_lex, kappa_lex, why_lex)):
-        name = "kappa3_le_kappa_" + label
-        if k3_val is None:
-            checks.append(_skip(name, why))
-        else:
-            checks.append(_check_cmp(name, k_val, k3_val, k3_val <= k_val))
-
+            report.checks.append(BoundCheck(name, "pass" if holds(got, value) else "fail",
+                                            value, got))
     return report

@@ -195,14 +195,19 @@ def iter_certificates(doc):
 def reverify(doc) -> Verdict:
     """Re-run the packing checker on a loaded certificate.
 
-    Fails when the recorded trees no longer verify or when the recorded
-    verdict disagrees with the fresh one, so any edit to a stored
-    certificate is caught.
+    Fails when the recorded trees no longer verify, when the recorded
+    verdict disagrees with the fresh one, or when the stats claim a value
+    or a tree count other than the number of trees, so any edit to a
+    stored certificate is caught.
     """
     host = rebuild_host(doc["host"])
     terminals = [parse_vertex(host, s) for s in doc["terminals"]]
     if len(set(terminals)) != len(terminals):
         return Verdict(False, "terminal list repeats a vertex")
+    for key in ("value", "trees"):
+        if key in doc["stats"] and doc["stats"][key] != len(doc["trees"]):
+            return Verdict(False, "stats claim %s %r but the certificate holds %d trees"
+                           % (key, doc["stats"][key], len(doc["trees"])))
     trees = []
     for t in doc["trees"]:
         trees.append([(parse_vertex(host, e[0]), parse_vertex(host, e[1]))

@@ -28,9 +28,9 @@ from .certificates import (CertificateError, certificate_set, dump_certificate,
                            packing_certificate, reverify)
 from .connectivity import vertex_connectivity
 from .construct import (ConstructionError, construct_general_lex,
-                        construct_path_lex, construct_tree_lex)
-from .graphs import (Graph, family, is_complete, is_path_graph, is_tree,
-                     lexicographic_product, min_degree, parse_edge_list)
+                        construct_tree_lex)
+from .graphs import (Graph, family, is_complete, is_tree, lexicographic_product,
+                     min_degree, parse_edge_list)
 from .steiner import DEFAULT_BUDGET, generalized_connectivity, kappa3
 
 _FAMILY_SPEC = re.compile(r"^([a-z]+):(\d+)$")
@@ -175,8 +175,6 @@ def cmd_kappa(args) -> int:
 # ---- construct ----
 
 def _build_family(P, S, budget):
-    if is_path_graph(P.left):
-        return construct_path_lex(P, S)
     if is_tree(P.left):
         return construct_tree_lex(P, S)
     return construct_general_lex(P, S, budget=budget)

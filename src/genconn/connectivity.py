@@ -4,50 +4,41 @@ Everything is built on one flow routine over the standard vertex-split
 network: vertex v becomes v_in -> v_out with capacity 1 (overridable per
 vertex), and each graph edge uv becomes the two arcs u_out -> v_in and
 v_out -> u_in with capacity 1.  Augmenting paths are found by BFS in
-ascending-id arc order, so path systems, fans, and connectivity values are
+ascending-id arc order, so path systems and connectivity values are
 deterministic for a given input graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graphs import Graph, is_complete, is_connected
 
 _BIG = 1 << 30
 
 
-@dataclass
-class Fan:
-    """Paths from `apex` to distinct vertices of `targets`, pairwise sharing
-    only the apex.  `complete` is False when the requested size was not
-    achievable; callers decide whether that is fatal."""
-
-    apex: int
-    targets: tuple
-    paths: list
-    requested: int
-    complete: bool = True
-
-    @property
-    def achieved(self) -> int:
-        return len(self.paths)
-
-
 class _SplitFlowNet:
-    # arcs stored as parallel lists; arcs[i] and arcs[i^1] are a residual pair
-    def __init__(self, G: Graph, caps=None):
-        n2 = 2 * G.n
-        self.head = [[] for _ in range(n2)]
+    """The s-t flow of at most `limit` units, augmented on construction.
+
+    s and t default to unbounded capacity.  Arcs are stored as parallel
+    lists; arcs[i] and arcs[i^1] are a residual pair."""
+
+    def __init__(self, G: Graph, s: int, t: int, caps=None, limit=None):
+        caps = dict(caps or {})
+        caps.setdefault(s, _BIG)
+        caps.setdefault(t, _BIG)
+        self.head = [[] for _ in range(2 * G.n)]
         self.to = []
         self.cap = []
-        caps = caps or {}
         for v in range(G.n):
             self._arc(2 * v, 2 * v + 1, caps.get(v, 1))
         for v in range(G.n):
             for w in G.neighbors(v):
                 self._arc(2 * v + 1, 2 * w, 1)
+        self.s, self.t = s, t
+        self.value = 0
+        while (limit is None or self.value < limit) and self._augment():
+            self.value += 1
 
     def _arc(self, a, b, c):
         self.head[a].append(len(self.to))
@@ -57,9 +48,9 @@ class _SplitFlowNet:
         self.to.append(a)
         self.cap.append(0)
 
-    def augment(self, s, t):
+    def _augment(self):
         """One BFS augmenting path from s_out to t_in; returns False if none."""
-        src, dst = 2 * s + 1, 2 * t
+        src, dst = 2 * self.s + 1, 2 * self.t
         prev = {src: None}
         queue = deque([src])
         while queue:
@@ -81,15 +72,16 @@ class _SplitFlowNet:
             b = self.to[i ^ 1]
         return True
 
-    def decompose(self, s, t, value):
-        """Split the current flow into `value` vertex-id paths s..t."""
+    def paths(self):
+        """Split the flow into `value` vertex-id paths s..t."""
+        s, t = self.s, self.t
         # net forward flow on an even arc equals the residual on its partner
         flow = {}
         for i in range(0, len(self.to), 2):
             if self.cap[i ^ 1] > 0:
                 flow[i] = self.cap[i ^ 1]
         paths = []
-        for _ in range(value):
+        for _ in range(self.value):
             node = 2 * s + 1
             path = [s]
             while node != 2 * t:
@@ -118,28 +110,9 @@ class _SplitFlowNet:
         return paths
 
 
-def _flow_paths(G: Graph, s: int, t: int, caps=None, limit=None):
-    """Maximum set of s-t paths, vertex-capacitated; returns (value, paths)."""
-    caps = dict(caps or {})
-    caps.setdefault(s, _BIG)
-    caps.setdefault(t, _BIG)
-    net = _SplitFlowNet(G, caps)
-    value = 0
-    while (limit is None or value < limit) and net.augment(s, t):
-        value += 1
-    return value, net.decompose(s, t, value)
-
-
 def capped_flow_value(G: Graph, s: int, t: int, caps=None, limit=None) -> int:
     """Max s-t flow value with per-vertex capacities (default 1 internal)."""
-    caps = dict(caps or {})
-    caps.setdefault(s, _BIG)
-    caps.setdefault(t, _BIG)
-    net = _SplitFlowNet(G, caps)
-    value = 0
-    while (limit is None or value < limit) and net.augment(s, t):
-        value += 1
-    return value
+    return _SplitFlowNet(G, s, t, caps, limit).value
 
 
 def disjoint_paths(G: Graph, x: int, y: int, want=None) -> list:
@@ -151,12 +124,8 @@ def disjoint_paths(G: Graph, x: int, y: int, want=None) -> list:
     """
     if x == y:
         raise ValueError("endpoints must differ")
-    _, paths = _flow_paths(G, x, y, limit=want)
+    paths = _SplitFlowNet(G, x, y, limit=want).paths()
     return sorted(paths, key=lambda p: (len(p), p))
-
-
-def local_connectivity(G: Graph, x: int, y: int) -> int:
-    return len(disjoint_paths(G, x, y))
 
 
 def vertex_connectivity(G: Graph) -> int:
@@ -190,36 +159,3 @@ def vertex_connectivity(G: Graph) -> int:
                 if val < best:
                     best = val
     return best
-
-
-def expand(G: Graph, U) -> tuple:
-    """Add one new vertex adjacent to exactly U; returns (graph, new id)."""
-    U = sorted(set(U))
-    if not U:
-        raise ValueError("expansion set must be nonempty")
-    for u in U:
-        if not 0 <= u < G.n:
-            raise ValueError("expansion vertex %s out of range" % u)
-    y = G.n
-    return Graph(G.n + 1, list(G.edges()) + [(u, y) for u in U]), y
-
-
-def fan(G: Graph, x: int, U, k: int) -> Fan:
-    """An (x, U)-fan of size k when achievable, else the maximum fan, flagged.
-
-    Realized as a flow to a virtual sink behind U; each returned path is
-    truncated at its first vertex of U, and any two paths share only x.
-    """
-    U = sorted(set(U))
-    if len(U) < k:
-        raise ValueError("target set smaller than requested fan size")
-    if x in U:
-        raise ValueError("apex may not lie in the target set")
-    GU, sink = expand(G, U)
-    _, raw = _flow_paths(GU, x, sink, limit=k)
-    paths = []
-    for p in raw:
-        cut = next(i for i, v in enumerate(p) if v in U or v == sink)
-        paths.append(p[: cut + 1])
-    paths.sort(key=lambda p: p[-1])
-    return Fan(apex=x, targets=tuple(U), paths=paths, requested=k, complete=len(paths) == k)

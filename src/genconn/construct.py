@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, ProductGraph, is_path_graph, is_tree, tree_path)
+from .graphs import (Graph, ProductGraph, is_path_graph, is_tree, tree_median,
+                     tree_path)
 from .steiner import (DEFAULT_BUDGET, SteinerTree, max_tree_packing,
                       verify_packing)
 
@@ -68,18 +69,6 @@ def _verified(P, terminals, trees):
     if not verdict.ok:
         raise ConstructionError("constructed family fails verification: " + verdict.reason)
     return trees
-
-
-def _median(T: Graph, a: int, b: int, c: int) -> int:
-    # median of three vertices inside one tree component; T may carry
-    # isolated vertices outside it
-    pab = set(tree_path(T, a, b))
-    pbc = set(tree_path(T, b, c))
-    pac = set(tree_path(T, a, c))
-    common = pab & pbc & pac
-    if len(common) != 1:
-        raise ConstructionError("terminal projections admit no unique branch vertex")
-    return common.pop()
 
 
 def lane_fan(P: ProductGraph, corridor, z: int):
@@ -424,7 +413,7 @@ def _construct_on_tree(P: ProductGraph, T: Graph, S, flip: bool = False) -> list
     gs = [g for g, _ in coords]
     if len(set(gs)) != 3:
         raise ConstructionError("terminals do not project to three distinct fibers")
-    mu = _median(T, gs[0], gs[1], gs[2])
+    mu = tree_median(T, gs[0], gs[1], gs[2])
     if mu not in gs:
         return _tripod_family(P, coords[0][1], coords[1][1], coords[2][1], T, mu)
     ends = [s for g, s in coords if g != mu]

@@ -15,7 +15,6 @@ Conventions used across the package:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 
 class Graph:
@@ -42,9 +41,6 @@ class Graph:
         self.n = n
         self._adj = adj
         self._nbrs = tuple(tuple(sorted(s)) for s in adj)
-
-    def vertices(self):
-        return range(self.n)
 
     def neighbors(self, u: int) -> tuple:
         return self._nbrs[u]
@@ -101,27 +97,6 @@ class ProductGraph(Graph):
 
     def __repr__(self):
         return "ProductGraph(kind=%s, %d x %d)" % (self.kind, self.left.n, self.right.n)
-
-
-@dataclass
-class Fiber:
-    """One fiber of a product graph.
-
-    kind "H" is the copy of the right factor over a fixed left vertex; kind
-    "G" is the copy of the left factor over a fixed right vertex.  `members`
-    lists flat ids in coordinate order; `graph` is the induced subgraph
-    relabeled 0..len-1 in that order.
-    """
-
-    kind: str
-    base: int
-    members: list
-    graph: Graph
-
-
-def graph_from_edge_list(order: int, edges) -> Graph:
-    """Build a graph from an explicit edge list, validating ids and loops."""
-    return Graph(order, edges)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -215,29 +190,6 @@ def cartesian_product(G: Graph, H: Graph) -> ProductGraph:
     return ProductGraph(G, H, "cartesian", edges)
 
 
-def fiber(P: ProductGraph, kind: str, base: int) -> Fiber:
-    """Extract a fiber of a product graph; the induced graph is relabeled in
-    coordinate order so it can be compared to the factor edge-for-edge."""
-    if kind == "H":
-        if not 0 <= base < P.left.n:
-            raise ValueError("H-fiber base %s out of range" % base)
-        members = [P.flatten(base, h) for h in range(P.right.n)]
-    elif kind == "G":
-        if not 0 <= base < P.right.n:
-            raise ValueError("G-fiber base %s out of range" % base)
-        members = [P.flatten(g, base) for g in range(P.left.n)]
-    else:
-        raise ValueError("fiber kind must be 'H' or 'G'")
-    pos = {p: i for i, p in enumerate(members)}
-    sub = []
-    for i, p in enumerate(members):
-        for q in P.neighbors(p):
-            j = pos.get(q)
-            if j is not None and i < j:
-                sub.append((i, j))
-    return Fiber(kind, base, members, Graph(len(members), sub))
-
-
 def min_degree(G: Graph) -> int:
     if G.n == 0:
         raise ValueError("empty graph has no minimum degree")
@@ -245,17 +197,7 @@ def min_degree(G: Graph) -> int:
 
 
 def is_connected(G: Graph) -> bool:
-    if G.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in G.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == G.n
+    return G.n <= 1 or len(connected_component(G, 0)) == G.n
 
 
 def connected_component(G: Graph, start: int) -> set:
@@ -284,23 +226,6 @@ def is_path_graph(G: Graph) -> bool:
     return all(G.degree(u) <= 2 for u in range(G.n))
 
 
-def path_order(G: Graph) -> list:
-    """Vertex sequence of a path graph, starting from its lower-id endpoint."""
-    if not is_path_graph(G):
-        raise ValueError("graph is not a path")
-    if G.n == 1:
-        return [0]
-    start = min(u for u in range(G.n) if G.degree(u) == 1)
-    seq = [start]
-    prev = None
-    cur = start
-    while len(seq) < G.n:
-        nxt = [v for v in G.neighbors(cur) if v != prev]
-        prev, cur = cur, nxt[0]
-        seq.append(cur)
-    return seq
-
-
 def tree_path(T: Graph, a: int, b: int) -> list:
     """The unique a-b path of a tree, as a vertex list including endpoints."""
     parent = {a: None}
@@ -327,16 +252,17 @@ def tree_median(T: Graph, a: int, b: int, c: int) -> int:
 
     Equals one of the terminals exactly when some path of T contains all
     three; otherwise it is the branch vertex of the minimal subtree spanning
-    {a, b, c}.
+    {a, b, c}.  T may carry isolated vertices besides the tree, as a base
+    S-tree laid on all the vertices of its host does.
     """
     if len({a, b, c}) != 3:
         raise ValueError("terminals must be distinct")
-    if not is_tree(T):
-        raise ValueError("graph is not a tree")
+    # the component of a is a tree and holds every edge exactly when it
+    # has one vertex more than T has edges
+    if len(connected_component(T, a)) != T.edge_count + 1:
+        raise ValueError("graph is not a tree plus isolated vertices")
     pab = set(tree_path(T, a, b))
     pbc = set(tree_path(T, b, c))
     pac = set(tree_path(T, a, c))
-    common = pab & pbc & pac
-    if len(common) != 1:
-        raise ValueError("no unique median found (not a tree?)")
-    return common.pop()
+    # the three paths of a tree meet in exactly one vertex
+    return (pab & pbc & pac).pop()

@@ -32,7 +32,9 @@ Prunes, all sound:
   edge-disjoint, internally disjoint outside S, and each passage through a
   third terminal z burns two of z's edges; so a max flow with unit caps on
   non-terminals and floor(deg(z)/2) caps on other terminals bounds the
-  remaining packing size.
+  remaining packing size.  The search applies `pair_flow_bound`, the same
+  bound it uses on the whole host, to the residual graph of unused vertices
+  and free terminal edges.
 
 The budget counts search steps; exhaustion returns the incumbent flagged
 non-exact instead of raising.
@@ -51,6 +53,9 @@ DEFAULT_BUDGET = 10_000_000
 
 _BIG = 1 << 30
 
+# seeded restarts of the greedy before the full search takes over
+_GREEDY_ROUNDS = 48
+
 
 @dataclass(frozen=True)
 class SteinerTree:
@@ -59,17 +64,6 @@ class SteinerTree:
     terminals: tuple
     edges: tuple
     provenance: str = "search"
-
-    @property
-    def vertices(self) -> frozenset:
-        verts = set()
-        for u, v in self.edges:
-            verts.add(u)
-            verts.add(v)
-        return frozenset(verts)
-
-    def internal_vertices(self) -> frozenset:
-        return self.vertices - frozenset(self.terminals)
 
 
 @dataclass
@@ -187,8 +181,11 @@ def verify_packing(G: Graph, S, trees) -> Verdict:
     return Verdict(True)
 
 
-def pair_flow_bound(G: Graph, S) -> int:
-    """Sound upper bound on the packing size; see the module docstring."""
+def pair_flow_bound(G: Graph, S, cutoff: int = 1) -> int:
+    """Sound upper bound on the packing size; see the module docstring.
+
+    Returns as soon as the bound drops below `cutoff`; the default stops
+    only at 0."""
     S = sorted(S)
     best = _BIG
     for i in range(len(S)):
@@ -196,8 +193,8 @@ def pair_flow_bound(G: Graph, S) -> int:
             x, y = S[i], S[j]
             caps = {z: G.degree(z) // 2 for z in S if z != x and z != y}
             best = min(best, capped_flow_value(G, x, y, caps, limit=best))
-            if best == 0:
-                return 0
+            if best < cutoff:
+                return best
     return best
 
 
@@ -222,13 +219,32 @@ def _count_bound(G: Graph, S, component) -> int:
 
 
 class _Candidate:
+    """One minimal S-tree as sorted edges, with what applying it consumes:
+    its internal vertices, its terminal-terminal edges, and the edge slots
+    it takes at each terminal.  A tree with a terminal-terminal edge is
+    dangerous."""
+
     __slots__ = ("key", "internals", "edges", "s_edges", "term_counts", "dangerous")
 
-    def __init__(self, key, internals, edges, s_edges, term_counts):
+    def __init__(self, key, edges, term_set):
+        internals = set()
+        s_edges = []
+        term_counts = {}
+        for u, v in edges:
+            if u in term_set:
+                term_counts[u] = term_counts.get(u, 0) + 1
+                if v in term_set:
+                    s_edges.append((u, v))
+            else:
+                internals.add(u)
+            if v in term_set:
+                term_counts[v] = term_counts.get(v, 0) + 1
+            else:
+                internals.add(v)
         self.key = key
-        self.internals = internals
+        self.internals = frozenset(internals)
         self.edges = edges
-        self.s_edges = s_edges
+        self.s_edges = frozenset(s_edges)
         self.term_counts = term_counts
         self.dangerous = bool(s_edges)
 
@@ -244,8 +260,12 @@ class _Search:
         self.component = component
         self.s_edges_all = frozenset(
             (u, v) for u, v in combinations(self.S, 2) if G.has_edge(u, v))
-        self.avail = set()
-        self.consumed = {}
+        self._reset()
+
+    def _reset(self):
+        """Every vertex and terminal edge unused again."""
+        self.avail = set(self.component) - self.term_set
+        self.consumed = {s: 0 for s in self.S}
         self.used_s_edges = set()
         self.dangerous_used = 0
 
@@ -257,13 +277,10 @@ class _Search:
     # ---- packing DFS ----
 
     def find(self, target):
-        self.avail = set(self.component) - self.term_set
-        self.consumed = {s: 0 for s in self.S}
-        self.used_s_edges = set()
-        self.dangerous_used = 0
+        self._reset()
         return self._extend([], None, target)
 
-    def greedy(self, target, rounds: int = 1):
+    def greedy(self, target):
         """Repeated residual BFS: each round takes the tree BFS yields and
         removes it.  Sound whenever it succeeds; no completeness claim, the
         caller falls back to the full search when it returns None.
@@ -275,13 +292,10 @@ class _Search:
         plain vertices run out.  A near miss is handed to the full search
         to finish: the trees BFS gets wrong are the closing ones, and the
         residual left for the search is small."""
-        for attempt in range(max(1, rounds)):
+        for attempt in range(_GREEDY_ROUNDS):
             rng = Random(0x51ED * (attempt + target)) if attempt else None
             root = self.S[attempt % len(self.S)]
-            self.avail = set(self.component) - self.term_set
-            self.consumed = {s: 0 for s in self.S}
-            self.used_s_edges = set()
-            self.dangerous_used = 0
+            self._reset()
             chosen = []
             for _ in range(target):
                 tree = self._common_star(rng)
@@ -356,8 +370,7 @@ class _Search:
         for v in order:
             if all(self.G.has_edge(v, s) for s in self.S):
                 edges = tuple(sorted((v, s) if v < s else (s, v) for s in self.S))
-                return _Candidate(None, frozenset((v,)), edges, frozenset(),
-                                  {s: 1 for s in self.S})
+                return _Candidate(None, edges, self.term_set)
         return None
 
     def _last_tree(self, rng=None, root=None, plain=False):
@@ -404,16 +417,16 @@ class _Search:
                 edges.add((u, v) if u < v else (v, u))
                 verts.add(v)
                 v = u
-        s_edges = frozenset(e for e in edges
-                            if e[0] in self.term_set and e[1] in self.term_set)
-        term_counts = {s: 0 for s in self.S}
-        for u, v in edges:
-            if u in term_counts:
-                term_counts[u] += 1
-            if v in term_counts:
-                term_counts[v] += 1
-        return _Candidate(None, frozenset(verts - self.term_set),
-                          tuple(sorted(edges)), s_edges, term_counts)
+        return _Candidate(None, tuple(sorted(edges)), self.term_set)
+
+    def _admissible(self, c):
+        """A terminal-terminal edge serves one tree, and at most
+        `dangerous_limit` trees may use such edges at all."""
+        if not c.s_edges:
+            return True
+        if c.s_edges & self.used_s_edges:
+            return False
+        return self.dangerous_limit is None or self.dangerous_used < self.dangerous_limit
 
     def _apply(self, c):
         self.avail.difference_update(c.internals)
@@ -439,6 +452,7 @@ class _Search:
         return count // 2 - len(self.used_s_edges)
 
     def _residual_flow_bound(self, cutoff):
+        """`pair_flow_bound` on the unused vertices and free terminal edges."""
         active = sorted(self.avail | self.term_set)
         index = {v: i for i, v in enumerate(active)}
         edges = []
@@ -449,16 +463,7 @@ class _Search:
                     if e not in self.used_s_edges:
                         edges.append((index[u], index[v]))
         R = Graph(len(active), edges)
-        terms = [index[s] for s in self.S]
-        best = _BIG
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                x, y = terms[i], terms[j]
-                caps = {z: R.degree(z) // 2 for z in terms if z != x and z != y}
-                best = min(best, capped_flow_value(R, x, y, caps, limit=best))
-                if best < cutoff:
-                    return best
-        return best
+        return pair_flow_bound(R, [index[s] for s in self.S], cutoff)
 
     # ---- tripod candidates, |S| = 3 ----
 
@@ -472,7 +477,7 @@ class _Search:
             else:
                 continue
             for cand in self._tripods_at(w, targets):
-                if cand is not None and (min_key is None or cand.key > min_key):
+                if (min_key is None or cand.key > min_key) and self._admissible(cand):
                     yield cand
 
     def _tripods_at(self, w, targets):
@@ -505,31 +510,15 @@ class _Search:
 
     def _tripod_candidate(self, w, targets, legs):
         edges = []
-        s_edges = set()
-        internals = set()
-        if w not in self.term_set:
-            internals.add(w)
         for t, interior in zip(targets, legs):
             prev = w
             for v in interior:
                 edges.append((min(prev, v), max(prev, v)))
-                internals.add(v)
                 prev = v
             edges.append((min(prev, t), max(prev, t)))
-            if prev in self.term_set:
-                s_edges.add((min(prev, t), max(prev, t)))
-        s_edges = frozenset(s_edges)
-        if s_edges & self.used_s_edges:
-            return None
-        if s_edges and self.dangerous_limit is not None \
-                and self.dangerous_used >= self.dangerous_limit:
-            return None
-        term_counts = {t: 1 for t in targets}
-        if w in self.term_set:
-            term_counts[w] = len(targets)
         slots = tuple(() if t == w else legs[targets.index(t)] for t in self.S)
         key = (w, slots)
-        return _Candidate(key, frozenset(internals), tuple(sorted(edges)), s_edges, term_counts)
+        return _Candidate(key, tuple(sorted(edges)), self.term_set)
 
     # ---- general candidates, |S| >= 4 ----
 
@@ -577,8 +566,10 @@ class _Search:
             self.tick()
             if len(chosen) == need_total:
                 if state["comps"] == 1 and all(deg[x] >= 2 for x in extras):
-                    cand = self._forest_candidate(extras, tuple(chosen))
-                    if cand is not None and (min_edges is None or cand.edges > min_edges):
+                    edges = tuple(chosen)
+                    cand = _Candidate((len(extras), tuple(extras), edges), edges,
+                                      self.term_set)
+                    if (min_edges is None or edges > min_edges) and self._admissible(cand):
                         yield cand
                 return
             need = need_total - len(chosen)
@@ -609,20 +600,6 @@ class _Search:
                 parent[ru] = ru
 
         yield from rec(0)
-
-    def _forest_candidate(self, extras, edges):
-        s_edges = frozenset(e for e in edges if e[0] in self.term_set and e[1] in self.term_set)
-        if s_edges and self.dangerous_limit is not None \
-                and self.dangerous_used >= self.dangerous_limit:
-            return None
-        term_counts = {s: 0 for s in self.S}
-        for u, v in edges:
-            if u in term_counts:
-                term_counts[u] += 1
-            if v in term_counts:
-                term_counts[v] += 1
-        key = (len(extras), tuple(extras), edges)
-        return _Candidate(key, frozenset(extras), edges, s_edges, term_counts)
 
 
 def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
@@ -675,7 +652,7 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
             exact = True
             break
         try:
-            found = search.greedy(t, rounds=48)
+            found = search.greedy(t)
             if found is None:
                 found = search.find(t)
         except _OutOfBudget:
@@ -712,6 +689,8 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    if budget < 1:
+        raise ValueError("budget must be positive")
     if G.n == 0:
         raise ValueError("empty graph")
     if not is_connected(G):

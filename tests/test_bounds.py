@@ -79,6 +79,14 @@ class TestProductFormulas:
         with pytest.raises(Inapplicable):
             lex_kappa3_upper(family("complete", 4), family("path", 3))
 
+    def test_inapplicable_carries_its_kind(self):
+        with pytest.raises(Inapplicable) as err:
+            lex_kappa3_upper(family("complete", 4), family("path", 3))
+        assert err.value.kind == "hypothesis"
+        with pytest.raises(Inapplicable) as err:
+            lex_kappa3_lower(family("cycle", 5), family("path", 3), budget=1)
+        assert err.value.kind == "budget"
+
     @pytest.mark.parametrize("g,h,want", [
         (("path", 4), ("path", 3), 3),
         (("path", 7), ("complete", 4), 4),
@@ -128,3 +136,15 @@ class TestConsistencyReport:
         assert rep.failures == []
         reasons = {c.reason for c in rep.checks if c.status.startswith("skipped")}
         assert any("vertices" in r or "size" in r or "limit" in r for r in reasons)
+
+    def test_skip_status_names_the_kind(self):
+        rep = consistency_report(family("cycle", 5), family("path", 3), budget=1)
+        status = {c.name: c.status for c in rep.checks}
+        assert status["kappa3_le_kappa_g"] == "skipped: budget"
+        assert status["lex_kappa3_floor"] == "skipped: budget"
+        assert status["lex_kappa_formula"] == "pass"
+        rep = consistency_report(family("path", 4), family("path", 3),
+                                 product_oracle_limit=4)
+        status = {c.name: c.status for c in rep.checks}
+        assert status["kappa3_le_kappa_lex"] == "skipped: size"
+        assert status["adjacent_min_degree_ceiling_g"] == "skipped: hypothesis"

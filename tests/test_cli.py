@@ -123,6 +123,25 @@ class TestVerify:
         assert run(["verify", str(out)]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_overstated_kappa_value_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "kappa.json"
+        assert run(["kappa", "--family", "complete:5", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["stats"]["value"] == len(doc["trees"]) == 3
+        doc["stats"]["value"] = 9
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == 2
+        assert "stats claim value 9" in capsys.readouterr().out
+
+    def test_overstated_family_size_exits_2(self, tmp_path, capsys):
+        out = self.make_cert(tmp_path)
+        doc = json.loads(out.read_text())
+        doc["stats"]["trees"] = 4
+        out.write_text(json.dumps(doc))
+        assert run(["verify", str(out)]) == 2
+        assert "stats claim trees 4" in capsys.readouterr().out
+
     def test_missing_file_exits_4(self, tmp_path):
         assert run(["verify", str(tmp_path / "nope.json")]) == 4
 

@@ -1,4 +1,4 @@
-"""Max-flow disjoint paths, vertex connectivity, fans, and expansion."""
+"""Max-flow disjoint paths, capped flow values, and vertex connectivity."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from genconn.connectivity import (capped_flow_value, disjoint_paths, expand,
-                                  fan, local_connectivity,
+from genconn.connectivity import (capped_flow_value, disjoint_paths,
                                   vertex_connectivity)
 from genconn.graphs import Graph, family, min_degree
 
@@ -62,17 +61,6 @@ class TestDisjointPaths:
         _check_paths(G, 0, 7, paths)
 
 
-class TestLocalConnectivity:
-    def test_adjacent_pair_counts_the_edge(self):
-        G = family("complete", 4)
-        assert local_connectivity(G, 0, 1) == 3
-
-    def test_matches_brute_force_on_petersen(self):
-        G = petersen()
-        for x, y in [(0, 2), (0, 7), (5, 6)]:
-            assert local_connectivity(G, x, y) == len(disjoint_paths(G, x, y))
-
-
 class TestVertexConnectivity:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_complete(self, n):
@@ -120,33 +108,3 @@ class TestCappedFlow:
     def test_limit_short_circuits(self):
         G = family("complete", 6)
         assert capped_flow_value(G, 0, 1, limit=2) == 2
-
-
-class TestFanAndExpansion:
-    def test_fan_paths_share_only_the_root(self):
-        G = family("complete", 5)
-        result = fan(G, 0, {1, 2, 3}, 3)
-        ends = set()
-        seen = set()
-        for p in result.paths:
-            assert p[0] == 0
-            assert p[-1] in {1, 2, 3}
-            ends.add(p[-1])
-            body = set(p[1:-1])
-            assert not body & seen
-            seen |= body
-        assert ends == {1, 2, 3}
-
-    def test_fan_through_bottleneck(self):
-        # star center must still reach three leaves one path each
-        G = family("star", 4)
-        result = fan(G, 0, {1, 2, 3}, 3)
-        assert sorted(p[-1] for p in result.paths) == [1, 2, 3]
-
-    def test_expand_adds_one_vertex_with_given_neighborhood(self):
-        G = family("cycle", 4)
-        H, y = expand(G, {0, 2})
-        assert H.n == 5 and y == 4
-        assert sorted(H.neighbors(y)) == [0, 2]
-        # connectivity 2 is preserved when the new neighborhood is large enough
-        assert vertex_connectivity(H) == 2

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genconn.graphs import (Graph, ProductGraph, cartesian_product, family,
-                            format_edge_list, graph_from_edge_list,
-                            is_complete, is_connected, is_path_graph, is_tree,
-                            lexicographic_product, min_degree, parse_edge_list,
-                            path_order, tree_median, tree_path)
+                            format_edge_list, is_complete, is_connected,
+                            is_path_graph, is_tree, lexicographic_product,
+                            min_degree, parse_edge_list, tree_median, tree_path)
 
 PRODUCT_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -65,12 +64,6 @@ class TestFamilies:
         # K1 and K2 are paths too
         assert is_path_graph(family("complete", 2))
 
-    def test_path_order_recovers_endpoints(self):
-        order = path_order(family("path", 5))
-        assert sorted(order) == [0, 1, 2, 3, 4]
-        for a, b in zip(order, order[1:]):
-            assert family("path", 5).has_edge(a, b)
-
 
 class TestEdgeListIO:
     def test_roundtrip(self):
@@ -87,10 +80,6 @@ class TestEdgeListIO:
         with pytest.raises(ValueError) as err:
             parse_edge_list("3\n0 1\n0 x\n")
         assert "3" in str(err.value)
-
-    def test_graph_from_edge_list(self):
-        G = graph_from_edge_list(3, [(0, 1), (1, 2)])
-        assert is_path_graph(G)
 
 
 class TestProducts:
@@ -159,6 +148,15 @@ class TestTreeHelpers:
     def test_tree_median_on_path_is_middle_terminal(self):
         T = family("path", 5)
         assert tree_median(T, 0, 2, 4) == 2
+
+    def test_tree_median_ignores_isolated_vertices(self):
+        # a base S-tree laid on its whole host: vertices 0 and 5 are unused
+        T = Graph(6, [(1, 2), (2, 3), (2, 4)])
+        assert tree_median(T, 1, 3, 4) == 2
+
+    def test_tree_median_rejects_a_cycle(self):
+        with pytest.raises(ValueError):
+            tree_median(Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), 0, 1, 3)
 
     def test_min_degree(self):
         assert min_degree(family("path", 4)) == 1

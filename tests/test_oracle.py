@@ -127,6 +127,12 @@ class TestConventions:
         with pytest.raises(ValueError):
             generalized_connectivity(family("path", 3), 1)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_must_be_positive(self, budget):
+        # a budget that settles no set would leave kappa_k without a value
+        with pytest.raises(ValueError, match="budget"):
+            kappa3(family("cycle", 4), budget=budget)
+
     def test_result_compares_like_an_int(self):
         got = kappa3(family("complete", 4))
         assert got == 2 and int(got) == 2
