@@ -67,10 +67,17 @@ def cartesian_kappa_formula(G: Graph, H: Graph) -> int:
 
 def cartesian_kappa3_upper(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Upper bound for kappa_3(G box H) from the factor kappa_3 values."""
+    return _cartesian_kappa3_upper(G, H, vertex_connectivity,
+                                   lambda X: kappa3(X, budget=budget))
+
+
+def _cartesian_kappa3_upper(G, H, kappa, k3) -> int:
+    """Like the lexicographic bounds below, asks `kappa` and `k3` for factor
+    values only once the hypotheses hold, so a report can pass its own."""
     if not (is_connected(G) and is_connected(H)):
         raise Inapplicable("both factors must be connected")
-    kg, kh = vertex_connectivity(G), vertex_connectivity(H)
-    k3g, k3h = kappa3(G, budget=budget), kappa3(H, budget=budget)
+    kg, kh = kappa(G), kappa(H)
+    k3g, k3h = k3(G), k3(H)
     if not (k3g.exact and k3h.exact):
         raise Inapplicable("factor kappa_3 exhausted its budget", "budget")
     return min(kappa_ceiling_from_kappa3(k3g.value, kg) * H.n,
@@ -91,25 +98,33 @@ def lex_kappa_formula(G: Graph, H: Graph) -> int:
 
 def lex_kappa3_upper(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Upper bound for kappa_3(G o H): the factor ceiling term times |V(H)|."""
+    return _lex_kappa3_upper(G, H, vertex_connectivity, lambda X: kappa3(X, budget=budget))
+
+
+def _lex_kappa3_upper(G, H, kappa, k3) -> int:
     if G.n < 2:
         raise Inapplicable("left factor must be nontrivial")
     if is_complete(G):
         raise Inapplicable("left factor must not be complete")
     if not (is_connected(G) and is_connected(H)):
         raise Inapplicable("both factors must be connected")
-    k3g = kappa3(G, budget=budget)
+    k3g = k3(G)
     if not k3g.exact:
         raise Inapplicable("factor kappa_3 exhausted its budget", "budget")
-    return kappa_ceiling_from_kappa3(k3g.value, vertex_connectivity(G)) * H.n
+    return kappa_ceiling_from_kappa3(k3g.value, kappa(G)) * H.n
 
 
 def lex_kappa3_lower(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Lower bound kappa_3(G o H) >= kappa_3(G) |V(H)|."""
+    return _lex_kappa3_lower(G, H, lambda X: kappa3(X, budget=budget))
+
+
+def _lex_kappa3_lower(G, H, k3) -> int:
     if G.n < 2:
         raise Inapplicable("left factor must be nontrivial")
     if not (is_connected(G) and is_connected(H)):
         raise Inapplicable("both factors must be connected")
-    k3g = kappa3(G, budget=budget)
+    k3g = k3(G)
     if not k3g.exact:
         raise Inapplicable("factor kappa_3 exhausted its budget", "budget")
     return k3g.value * H.n
@@ -256,6 +271,8 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
         report.oracle[label] = None
         if not both_connected:
             return Inapplicable("factor is disconnected")
+        if P.n < 3:
+            return Inapplicable("needs at least three vertices")
         if P.n > product_oracle_limit:
             return Inapplicable("product exceeds the oracle size limit (%d > %d)"
                                 % (P.n, product_oracle_limit), "size")
@@ -291,6 +308,9 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
             cands.append((k3h.value, kh, k3g.value))
         return max(a + b - (1 if ka == a else 0) for a, ka, b in cands)
 
+    # the factor values measured above, for the factor bounds
+    kappa, k3 = {G: kg, H: kh}.__getitem__, {G: k3g, H: k3h}.__getitem__
+
     # (name, bound, observed, holds(observed, bound)); a bound raises
     # Inapplicable, and an observed value is one, when the check is skipped
     specs = _factor_checks("g", G, kg, dg, k3g) + _factor_checks("h", H, kh, dh, k3h) + [
@@ -298,10 +318,10 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
         ("cartesian_kappa_formula", cartesian_formula, kappa_cart, eq),
         ("cartesian_kappa3_sum_floor", cartesian_kappa3_sum_floor, k3_cart, ge),
         ("cartesian_kappa3_ceiling",
-         lambda: cartesian_kappa3_upper(G, H, budget=budget), k3_cart, le),
+         lambda: _cartesian_kappa3_upper(G, H, kappa, k3), k3_cart, le),
         ("lex_kappa_formula", lambda: lex_kappa_formula(G, H), kappa_lex, eq),
-        ("lex_kappa3_ceiling", lambda: lex_kappa3_upper(G, H, budget=budget), k3_lex, le),
-        ("lex_kappa3_floor", lambda: lex_kappa3_lower(G, H, budget=budget), k3_lex, ge),
+        ("lex_kappa3_ceiling", lambda: _lex_kappa3_upper(G, H, kappa, k3), k3_lex, le),
+        ("lex_kappa3_floor", lambda: _lex_kappa3_lower(G, H, k3), k3_lex, ge),
         # the plain kappa_3 <= kappa comparison holds on the products too
         ("kappa3_le_kappa_cartesian", lambda: kappa_cart, k3_cart, le),
         ("kappa3_le_kappa_lex", lambda: kappa_lex, k3_lex, le),

@@ -10,15 +10,10 @@ Only *minimal* S-trees are enumerated (every leaf a terminal): pruning a
 non-terminal leaf from any S-tree keeps it an S-tree and cannot create a new
 conflict, so some maximum packing consists of minimal trees.
 
-For |S| = 3 the minimal trees are exactly tripods: a center c joined to the
-three terminals by internally disjoint legs, the center possibly a terminal
-(then the tree degenerates to a path and the center's own leg is empty).
-Candidates are keyed (center, leg interiors in terminal order) and explored
-in ascending lexicographic key order.
-
-For |S| >= 4 candidates are keyed (extra internal vertex set, edge tuple):
-for each extras choice the search enumerates forests over S + extras that
-form a spanning tree in which every extra vertex has degree >= 2.
+One generator, `_Search._trees`, yields them for every |S| >= 3: a tree
+grows from the lowest terminal, and a depth-first leg search joins each
+terminal not yet in it by one leg, so each minimal tree is built exactly
+once.  A tree's key is its sorted edge tuple.  Pairs go to max-flow.
 
 A packing is enumerated once by requiring strictly increasing tree keys.
 Prunes, all sound:
@@ -36,8 +31,8 @@ Prunes, all sound:
   bound it uses on the whole host, to the residual graph of unused vertices
   and free terminal edges.
 
-The budget counts search steps; exhaustion returns the incumbent flagged
-non-exact instead of raising.
+The budget counts search steps, each step of the leg DFS among them; running
+out returns the incumbent flagged non-exact instead of raising.
 """
 
 from __future__ import annotations
@@ -350,8 +345,7 @@ class _Search:
             return None
         if remaining >= 2 and chosen and self._residual_flow_bound(remaining) < remaining:
             return None
-        gen = self._tripods(last_key) if len(self.S) == 3 else self._forests(last_key)
-        for cand in gen:
+        for cand in self._trees(last_key):
             self._apply(cand)
             result = self._extend(chosen + [cand], cand.key, target)
             if result is not None:
@@ -465,141 +459,64 @@ class _Search:
         R = Graph(len(active), edges)
         return pair_flow_bound(R, [index[s] for s in self.S], cutoff)
 
-    # ---- tripod candidates, |S| = 3 ----
+    # ---- candidate trees ----
 
-    def _tripods(self, min_key):
-        lo = min_key[0] if min_key is not None else 0
-        for w in range(lo, self.G.n):
-            if w in self.term_set:
-                targets = tuple(t for t in self.S if t != w)
-            elif w in self.avail:
-                targets = self.S
-            else:
-                continue
-            for cand in self._tripods_at(w, targets):
-                if (min_key is None or cand.key > min_key) and self._admissible(cand):
-                    yield cand
+    def _trees(self, last_key):
+        """Every admissible minimal S-tree of the unused part whose key, its
+        sorted edge tuple, exceeds `last_key`; each exactly once.
 
-    def _tripods_at(self, w, targets):
-        G = self.G
-        blocked = {w}
-        legs = []
+        A tree grows from t1 = min(S).  Each terminal ti not yet in it, in
+        ascending order, is joined by one leg from a tree vertex through
+        unused vertices and later terminals, so only a leg's far end, a
+        terminal, can be a leaf.  Conversely, let T be a minimal S-tree and
+        T_i the union of its paths between t1..ti.  If ti lies outside
+        T_(i-1), the leg that joins it can only be the path in T from ti to
+        T_(i-1): it meets T_(i-1) only at its start, and its interior holds
+        no earlier terminal.  So T is built once, leg by leg.
 
-        def leg_iter(cur, t, interior):
-            self.tick()
-            if G.has_edge(cur, t):
-                yield tuple(interior)
-            for v in G.neighbors(cur):
-                if v in self.avail and v not in blocked:
-                    blocked.add(v)
-                    interior.append(v)
-                    yield from leg_iter(v, t, interior)
-                    interior.pop()
-                    blocked.discard(v)
-
-        def build(i):
-            if i == len(targets):
-                yield self._tripod_candidate(w, targets, tuple(legs))
-                return
-            for leg in leg_iter(w, targets[i], []):
-                legs.append(leg)
-                yield from build(i + 1)
-                legs.pop()
-
-        yield from build(0)
-
-    def _tripod_candidate(self, w, targets, legs):
+        `last_key` belongs to the tree applied last, whose edges are used
+        now: a new tree sorts above it exactly when its least edge does, so
+        the leg DFS drops every edge below the least edge of `last_key`.
+        """
+        G, S, avail, term_set = self.G, self.S, self.avail, self.term_set
+        used_s_edges = self.used_s_edges
+        floor = last_key[0] if last_key else ()
+        tree = {S[0]: None}     # the tree's vertices, in the order they joined
         edges = []
-        for t, interior in zip(targets, legs):
-            prev = w
-            for v in interior:
-                edges.append((min(prev, v), max(prev, v)))
-                prev = v
-            edges.append((min(prev, t), max(prev, t)))
-        slots = tuple(() if t == w else legs[targets.index(t)] for t in self.S)
-        key = (w, slots)
-        return _Candidate(key, tuple(sorted(edges)), self.term_set)
 
-    # ---- general candidates, |S| >= 4 ----
-
-    def _forests(self, min_key):
-        avail_sorted = sorted(self.avail)
-        for size in range(0, len(avail_sorted) + 1):
-            if min_key is not None and size < min_key[0]:
-                continue
-            for extras in combinations(avail_sorted, size):
-                if min_key is not None and size == min_key[0] and extras < min_key[1]:
-                    continue
-                min_edges = None
-                if min_key is not None and size == min_key[0] and extras == min_key[1]:
-                    min_edges = min_key[2]
-                yield from self._forest_dfs(extras, min_edges)
-
-    def _forest_dfs(self, extras, min_edges):
-        W = list(self.S) + list(extras)
-        wset = set(W)
-        pool = []
-        for u in W:
-            for v in self.G.neighbors(u):
-                if u < v and v in wset:
-                    e = (u, v)
-                    if e not in self.used_s_edges:
-                        pool.append(e)
-        pool.sort()
-        need_total = len(W) - 1
-        if len(pool) < need_total:
-            return
-        # rollback union-find: no path compression, union by size
-        parent = {v: v for v in W}
-        size = {v: 1 for v in W}
-
-        def find(a):
-            while parent[a] != a:
-                a = parent[a]
-            return a
-
-        chosen = []
-        deg = {v: 0 for v in W}
-        state = {"comps": len(W)}
-
-        def rec(start):
+        def legs(cur, t):
+            # the leg DFS: yields once per leg from `cur` to t, with the
+            # leg's vertices and edges on the tree while it is yielded
             self.tick()
-            if len(chosen) == need_total:
-                if state["comps"] == 1 and all(deg[x] >= 2 for x in extras):
-                    edges = tuple(chosen)
-                    cand = _Candidate((len(extras), tuple(extras), edges), edges,
-                                      self.term_set)
-                    if (min_edges is None or edges > min_edges) and self._admissible(cand):
-                        yield cand
-                return
-            need = need_total - len(chosen)
-            if len(pool) - start < need or state["comps"] - 1 > need:
-                return
-            deficit = sum(2 - deg[x] for x in extras if deg[x] < 2)
-            if deficit > 2 * need:
-                return
-            for idx in range(start, len(pool)):
-                u, v = pool[idx]
-                ru, rv = find(u), find(v)
-                if ru == rv:
+            for v in G.neighbors(cur):
+                if v in tree or not (v == t or v in avail or v in term_set):
                     continue
-                if size[ru] > size[rv]:
-                    ru, rv = rv, ru
-                parent[ru] = rv
-                size[rv] += size[ru]
-                chosen.append(pool[idx])
-                deg[u] += 1
-                deg[v] += 1
-                state["comps"] -= 1
-                yield from rec(idx + 1)
-                state["comps"] += 1
-                deg[u] -= 1
-                deg[v] -= 1
-                chosen.pop()
-                size[rv] -= size[ru]
-                parent[ru] = ru
+                e = (cur, v) if cur < v else (v, cur)
+                if e < floor or e in used_s_edges:
+                    continue
+                tree[v] = None
+                edges.append(e)
+                if v == t:
+                    yield
+                else:
+                    yield from legs(v, t)
+                del tree[v]
+                edges.pop()
 
-        yield from rec(0)
+        def join(i):
+            while i < len(S) and S[i] in tree:
+                i += 1
+            if i == len(S):
+                key = tuple(sorted(edges))
+                cand = _Candidate(key, key, term_set)
+                if self._admissible(cand):
+                    yield cand
+                return
+            for u in list(tree):
+                for _ in legs(u, S[i]):
+                    yield from join(i + 1)
+
+        yield from join(1)
 
 
 def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
@@ -642,38 +559,33 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
     search = _Search(G, S, budget, dangerous_limit, component)
     ub = min(min(G.degree(s) for s in S), pair_flow_bound(G, S),
              _count_bound(G, S, component))
+    # try packings of size 1, 2, ... up to the bound: the first size that
+    # fails settles the value; running out of budget leaves it open
     best = []
-    exact = False
-    exhausted = False
+    exact = True
     hit_cap = False
-    t = 1
-    while True:
-        if t > ub:
-            exact = True
-            break
+    for t in range(1, ub + 1):
         try:
             found = search.greedy(t)
             if found is None:
                 found = search.find(t)
         except _OutOfBudget:
-            exhausted = True
+            exact = False
             break
         if found is None:
-            exact = True
             break
         best = found
         if cap is not None and t >= cap:
             hit_cap = True
             exact = t >= ub
             break
-        t += 1
 
     trees = [SteinerTree(S, c.edges) for c in best]
     verdict = verify_packing(G, S, trees)
     if not verdict.ok:
         raise AssertionError("internal error: search output failed verification: %s"
                              % verdict.reason)
-    return TreePacking(G, S, trees, verified=True, exact=exact and not exhausted,
+    return TreePacking(G, S, trees, verified=True, exact=exact,
                        nodes=search.nodes, hit_cap=hit_cap)
 
 
@@ -712,17 +624,15 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
             break
         pack = max_tree_packing(G, S, budget=left, cap=cur)
         total += pack.nodes
-        if not pack.exact and not pack.hit_cap:
-            exact = False
-            if cur is None or pack.size < cur:
-                cur, wit, wpack = pack.size, S, pack
-            break
         if pack.hit_cap:
             continue
         if cur is None or pack.size < cur:
             cur, wit, wpack = pack.size, S, pack
-            if cur == 1:
-                break
+        if not pack.exact:
+            exact = False
+            break
+        if cur == 1:
+            break
     return GCResult(cur, exact, wit, wpack, total)
 
 

@@ -2,8 +2,10 @@
 
 Everything here recomputes from first principles on explicit edge lists:
 candidate trees are enumerated as frozen edge sets and packings found by
-plain backtracking over them.  Nothing in this file is clever on purpose,
-and nothing imports from genconn; keep inputs tiny.
+plain backtracking over them: paths for two terminals, tripods for three,
+and for four or more every spanning tree of every vertex set containing
+the terminals (hosts of at most 7 vertices).  Nothing in this file is
+clever on purpose, and nothing imports from genconn; keep inputs tiny.
 """
 
 from itertools import combinations
@@ -100,14 +102,66 @@ def candidate_triple_trees(n, edges, S):
     return sorted(found, key=lambda t: (len(t), sorted(t)))
 
 
+def _is_tree_on(verts, edges):
+    """Whether `edges` form a spanning tree of `verts`: one fewer edge than
+    vertices and no cycle, checked by merging labels."""
+    if len(edges) != len(verts) - 1:
+        return False
+    label = {v: v for v in verts}
+    for u, v in edges:
+        a, b = label[u], label[v]
+        if a == b:
+            return False
+        for w in verts:
+            if label[w] == a:
+                label[w] = b
+    return True
+
+
+MINIMAL_TREES_MAX_ORDER = 7
+
+
+def minimal_trees(n, edges, S):
+    """Every minimal S-tree (a tree containing S whose leaves all lie in S).
+
+    Tries every vertex set W containing S and every |W| - 1 edges that W
+    induces; keeps the spanning trees of W in which no vertex outside S is
+    a leaf.  The subset loops are exponential, so hosts are limited to
+    MINIMAL_TREES_MAX_ORDER vertices.
+    """
+    if n > MINIMAL_TREES_MAX_ORDER:
+        raise ValueError("minimal_trees takes hosts of at most %d vertices"
+                         % MINIMAL_TREES_MAX_ORDER)
+    S = sorted(set(S))
+    rest = [v for v in range(n) if v not in S]
+    norm = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    found = []
+    for size in range(len(rest) + 1):
+        for extra in combinations(rest, size):
+            W = set(S) | set(extra)
+            inner = [e for e in norm if e[0] in W and e[1] in W]
+            for T in combinations(inner, len(W) - 1):
+                if not _is_tree_on(W, T):
+                    continue
+                degree = {v: 0 for v in W}
+                for u, v in T:
+                    degree[u] += 1
+                    degree[v] += 1
+                if all(degree[v] >= 2 for v in extra):
+                    found.append(frozenset(T))
+    return sorted(found, key=lambda t: (len(t), sorted(t)))
+
+
 def tree_packing_number(n, edges, S):
     """kappa(S): maximum set of candidate trees that pairwise share no
     edge and no vertex outside S."""
     S = sorted(set(S))
     if len(S) == 2:
         trees = candidate_pair_trees(edges, S)
-    else:
+    elif len(S) == 3:
         trees = candidate_triple_trees(n, edges, S)
+    else:
+        trees = minimal_trees(n, edges, S)
     term = set(S)
     internals = [frozenset(v for e in t for v in e) - term for t in trees]
     best = 0

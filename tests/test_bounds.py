@@ -137,6 +137,32 @@ class TestConsistencyReport:
         reasons = {c.reason for c in rep.checks if c.status.startswith("skipped")}
         assert any("vertices" in r or "size" in r or "limit" in r for r in reasons)
 
+    def test_each_graph_gets_one_kappa3(self, monkeypatch):
+        # the factor bounds reuse the factor values the report measured
+        import genconn.bounds as bounds
+        calls = []
+
+        def counted(G, budget):
+            calls.append(G)
+            return kappa3(G, budget=budget)
+
+        monkeypatch.setattr(bounds, "kappa3", counted)
+        rep = consistency_report(family("path", 4), family("path", 3))
+        assert rep.failures == []
+        assert len(calls) == 4 and len(set(map(id, calls))) == 4
+
+    def test_products_below_three_vertices_skip_kappa3(self):
+        # a connected graph on fewer than k vertices has kappa_k 1 by
+        # convention, which no kappa_3 bound of a product speaks about
+        for n, m in ((1, 1), (1, 2), (2, 1)):
+            rep = consistency_report(family("complete", n), family("complete", m))
+            assert rep.failures == []
+            status = {c.name: (c.status, c.reason) for c in rep.checks}
+            for name in ("cartesian_kappa3_ceiling", "kappa3_le_kappa_cartesian",
+                         "kappa3_le_kappa_lex"):
+                assert status[name] == ("skipped: hypothesis",
+                                        "needs at least three vertices")
+
     def test_skip_status_names_the_kind(self):
         rep = consistency_report(family("cycle", 5), family("path", 3), budget=1)
         status = {c.name: c.status for c in rep.checks}

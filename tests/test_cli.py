@@ -168,6 +168,10 @@ class TestBounds:
         assert run(["bounds", "--pair", "complete:4,path:3"]) == 0
         assert "0 failed" in capsys.readouterr().out
 
+    def test_one_vertex_factors_pass(self, capsys):
+        assert run(["bounds", "--pair", "complete:1,complete:1"]) == 0
+        assert "0 failed" in capsys.readouterr().out
+
     def test_seeded_sweep_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["bounds", "--random-pairs", "3", "--max-order", "4",

@@ -8,6 +8,7 @@ the same number.
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -70,6 +71,53 @@ class TestAgainstBruteForce:
         pack = max_tree_packing(G, S)
         assert pack.exact and pack.verified
         assert pack.size == brute.tree_packing_number(n, edges, S)
+
+
+def _seeded_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(5, brute.MINIMAL_TREES_MAX_ORDER)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.5])
+
+
+# hosts of at most 7 vertices, small enough for the brute force at every k
+EVERY_K_HOSTS = {
+    "P3oK2": lexicographic_product(family("path", 3), family("complete", 2)),
+    "K2oP3": lexicographic_product(family("complete", 2), family("path", 3)),
+    "K3oE2": lexicographic_product(family("complete", 3), Graph(2)),
+    "K2xK3": cartesian_product(family("complete", 2), family("complete", 3)),
+    "K2xP3": cartesian_product(family("complete", 2), family("path", 3)),
+}
+EVERY_K_HOSTS.update(("random-%d" % seed, _seeded_graph(seed)) for seed in range(6))
+
+
+class TestEveryK:
+    """The oracle against the brute force for k = 3, 4 and 5, on every
+    terminal set of each host."""
+
+    @pytest.mark.parametrize("name", sorted(EVERY_K_HOSTS))
+    def test_every_terminal_set(self, name):
+        G = EVERY_K_HOSTS[name]
+        edges = G.edges()
+        for k in (3, 4, 5):
+            values = []
+            for S in combinations(range(G.n), k):
+                pack = max_tree_packing(G, S)
+                assert pack.exact and pack.verified
+                values.append(brute.tree_packing_number(G.n, edges, S))
+                assert pack.size == values[-1], (k, S)
+            got = generalized_connectivity(G, k)
+            assert got.exact
+            assert got.value == brute.generalized_connectivity(G.n, edges, k) == min(values)
+
+    def test_reference_enumerators_agree_on_triples(self):
+        # two independent enumerations of the minimal S-trees for |S| = 3
+        for seed in range(6):
+            G = _seeded_graph(seed)
+            edges = G.edges()
+            for S in combinations(range(G.n), 3):
+                assert (set(brute.minimal_trees(G.n, edges, S))
+                        == set(brute.candidate_triple_trees(G.n, edges, S)))
 
 
 class TestKnownValues:
@@ -152,6 +200,15 @@ class TestSearchControls:
         assert not pack.exact
         assert pack.verified
         assert pack.size == 5
+
+    def test_budget_bounds_the_four_terminal_search(self):
+        # every path of the search ticks the budget, however many trees the
+        # unused part of the host still holds
+        start = time.perf_counter()
+        pack = max_tree_packing(family("cycle", 24), (0, 6, 12, 18), budget=1000)
+        assert time.perf_counter() - start < 1.0
+        assert pack.nodes <= 1001
+        assert not pack.exact and pack.verified
 
     def test_dangerous_limit_on_k4(self):
         G = family("complete", 4)
