@@ -104,6 +104,17 @@ def _path_edges(path):
     return [_edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
+def _fill_lanes(m, S, name, specials, used, generic):
+    """The special trees, given as (edges, tag), then generic(j) for every
+    lane j outside `used`, in lane order: exactly m trees tagged name[tag]."""
+    trees = [_as_tree(S, edges, "%s[%s]" % (name, tag)) for edges, tag in specials]
+    trees += [_as_tree(S, generic(j), "%s[generic]" % name) for j in range(m) if j not in used]
+    if len(trees) != m:
+        raise ConstructionError("%s family produced %d trees, wanted %d"
+                                % (name, len(trees), m))
+    return trees
+
+
 # ---------------------------------------------------------------- one fiber
 
 def construct_same_fiber(P: ProductGraph, S) -> list:
@@ -180,14 +191,9 @@ def _adjacent_pair_family(P, x, y, z):
     def fb(h):
         return P.flatten(b, h)
 
-    trees = []
-    used = set()
-
-    def emit(edges, tag):
-        trees.append(_as_tree((x, y, z), edges, "pair_adjacent[%s]" % tag))
+    used = {p, q, r}
 
     def generic(j):
-        used.add(j)
         return [_edge(x, fb(j)), _edge(y, fb(j)), _edge(fb(j), fa(j)), _edge(fa(j), z)]
 
     if r != p and r != q:
@@ -198,52 +204,47 @@ def _adjacent_pair_family(P, x, y, z):
             p, q = q, p
             adj_rq, adj_rp = adj_rp, adj_rq
         if adj_rq:
-            emit([_edge(x, z), _edge(y, z)], "direct")
-            emit([_edge(x, fb(p)), _edge(fb(p), y), _edge(fb(p), fa(r)), _edge(fa(r), z)],
-                 "via_pair_lane")
-            emit([_edge(x, fb(q)), _edge(fb(q), y), _edge(fb(q), z)], "intra_far")
-            used.update((p, q, r))
+            specials = [
+                ([_edge(x, z), _edge(y, z)], "direct"),
+                ([_edge(x, fb(p)), _edge(fb(p), y), _edge(fb(p), fa(r)), _edge(fa(r), z)],
+                 "via_pair_lane"),
+                ([_edge(x, fb(q)), _edge(fb(q), y), _edge(fb(q), z)], "intra_far")]
         elif H.has_edge(p, q):
-            emit([_edge(x, fb(p)), _edge(fb(p), y), _edge(y, z)], "pair_lane_direct")
-            emit([_edge(x, z), _edge(x, y)], "intra_pair")
-            emit([_edge(x, fb(q)), _edge(y, fb(q)), _edge(fb(q), fa(r)), _edge(fa(r), z)],
-                 "far_lane")
-            used.update((p, q, r))
+            specials = [
+                ([_edge(x, fb(p)), _edge(fb(p), y), _edge(y, z)], "pair_lane_direct"),
+                ([_edge(x, z), _edge(x, y)], "intra_pair"),
+                ([_edge(x, fb(q)), _edge(y, fb(q)), _edge(fb(q), fa(r)), _edge(fa(r), z)],
+                 "far_lane")]
         else:
             if m < 4:
                 raise ConstructionError("no adjacency available for the adjacent-pair family")
             w = _h_neighbor(H, r)
-            emit([_edge(x, z), _edge(y, z)], "direct")
-            emit([_edge(x, fb(p)), _edge(fb(p), y), _edge(fb(p), fa(r)), _edge(fa(r), z)],
-                 "via_pair_lane")
-            emit([_edge(x, fb(q)), _edge(fb(q), y), _edge(fb(q), fa(w)), _edge(fa(w), z)],
-                 "via_far_lane")
-            emit([_edge(x, fb(w)), _edge(y, fb(w)), _edge(fb(w), z)], "intra_far")
-            used.update((p, q, r, w))
+            used.add(w)
+            specials = [
+                ([_edge(x, z), _edge(y, z)], "direct"),
+                ([_edge(x, fb(p)), _edge(fb(p), y), _edge(fb(p), fa(r)), _edge(fa(r), z)],
+                 "via_pair_lane"),
+                ([_edge(x, fb(q)), _edge(fb(q), y), _edge(fb(q), fa(w)), _edge(fa(w), z)],
+                 "via_far_lane"),
+                ([_edge(x, fb(w)), _edge(y, fb(w)), _edge(fb(w), z)], "intra_far")]
     else:
         if r == p:
             x, y = y, x
             p, q = q, p
         # now r == q: z sits directly above y's lane
         if H.has_edge(p, q):
-            emit([_edge(x, z), _edge(x, fb(p)), _edge(fb(p), y)], "pair_lane")
-            emit([_edge(y, z), _edge(x, y)], "intra_pair")
-            used.update((p, q))
+            specials = [
+                ([_edge(x, z), _edge(x, fb(p)), _edge(fb(p), y)], "pair_lane"),
+                ([_edge(y, z), _edge(x, y)], "intra_pair")]
         else:
             w = _h_neighbor(H, q)
-            emit([_edge(x, z), _edge(y, z)], "direct")
-            emit([_edge(x, fb(p)), _edge(fb(p), y), _edge(fb(p), fa(w)), _edge(fa(w), z)],
-                 "via_pair_lane")
-            emit([_edge(x, fb(w)), _edge(y, fb(w)), _edge(fb(w), z)], "intra_far")
-            used.update((p, q, w))
-
-    for j in range(m):
-        if j not in used:
-            emit(generic(j), "generic")
-    if len(trees) != m:
-        raise ConstructionError("adjacent-pair family produced %d trees, wanted %d"
-                                % (len(trees), m))
-    return trees
+            used.add(w)
+            specials = [
+                ([_edge(x, z), _edge(y, z)], "direct"),
+                ([_edge(x, fb(p)), _edge(fb(p), y), _edge(fb(p), fa(w)), _edge(fa(w), z)],
+                 "via_pair_lane"),
+                ([_edge(x, fb(w)), _edge(y, fb(w)), _edge(fb(w), z)], "intra_far")]
+    return _fill_lanes(m, (x, y, z), "pair_adjacent", specials, used, generic)
 
 
 # ---------------------------------------------------------------- three fibers
@@ -266,49 +267,29 @@ def _consecutive_family(P, x, y, z):
     def f3(h):
         return P.flatten(u3, h)
 
-    trees = []
-    used = set()
-
-    def emit(edges, tag):
-        trees.append(_as_tree((x, y, z), edges, "consecutive[%s]" % tag))
-
     def generic(v):
-        used.add(v)
         return [_edge(x, f2(v)), _edge(f2(v), f1(v)), _edge(f1(v), y), _edge(z, f2(v))]
 
+    specials = [([_edge(x, y), _edge(y, z)], "direct")]
     if p != q and q != r and p != r:
-        emit([_edge(x, y), _edge(y, z)], "direct")
-        emit([_edge(x, f2(p)), _edge(f2(p), f1(r)), _edge(f2(p), z), _edge(f1(r), y)],
-             "lane_p")
-        emit([_edge(x, f2(r)), _edge(z, f2(r)), _edge(f1(q), f2(r)), _edge(y, f1(q))],
-             "lane_r")
-        used.update((p, q, r))
+        specials += [
+            ([_edge(x, f2(p)), _edge(f2(p), f1(r)), _edge(f2(p), z), _edge(f1(r), y)],
+             "lane_p"),
+            ([_edge(x, f2(r)), _edge(z, f2(r)), _edge(f1(q), f2(r)), _edge(y, f1(q))],
+             "lane_r")]
     elif q == r and p != q:
-        emit([_edge(x, y), _edge(y, z)], "direct")
-        emit([_edge(x, f2(p)), _edge(f2(p), f3(p)), _edge(y, f3(p)), _edge(f2(p), z)],
-             "lane_p")
-        used.update((p, q))
+        specials.append(
+            ([_edge(x, f2(p)), _edge(f2(p), f3(p)), _edge(y, f3(p)), _edge(f2(p), z)],
+             "lane_p"))
     elif p == q and q != r:
-        emit([_edge(x, y), _edge(y, z)], "direct")
-        emit([_edge(x, f2(r)), _edge(z, f2(r)), _edge(f1(r), f2(r)), _edge(y, f1(r))],
-             "lane_r")
-        used.update((p, r))
+        specials.append(
+            ([_edge(x, f2(r)), _edge(z, f2(r)), _edge(f1(r), f2(r)), _edge(y, f1(r))],
+             "lane_r"))
     elif p == r and p != q:
-        emit([_edge(x, y), _edge(y, z)], "direct")
-        emit([_edge(x, f2(p)), _edge(f2(p), z), _edge(f2(p), f1(q)), _edge(f1(q), y)],
-             "lane_p")
-        used.update((p, q))
-    else:
-        emit([_edge(x, y), _edge(y, z)], "direct")
-        used.add(p)
-
-    for v in range(m):
-        if v not in used:
-            emit(generic(v), "generic")
-    if len(trees) != m:
-        raise ConstructionError("consecutive family produced %d trees, wanted %d"
-                                % (len(trees), m))
-    return trees
+        specials.append(
+            ([_edge(x, f2(p)), _edge(f2(p), z), _edge(f2(p), f1(q)), _edge(f1(q), y)],
+             "lane_p"))
+    return _fill_lanes(m, (x, y, z), "consecutive", specials, {p, q, r}, generic)
 
 
 def _near_far_family(P, x, y, z, corridor):
@@ -327,48 +308,27 @@ def _near_far_family(P, x, y, z, corridor):
         return P.flatten(u2, h)
 
     fan = lane_fan(P, corridor, z)
-    trees = []
-    used = set()
-
-    def emit(edges, tag):
-        trees.append(_as_tree((x, y, z), edges, "near_far[%s]" % tag))
 
     def fan_edges(v):
         return _path_edges(fan[v])
 
     def generic(v):
-        used.add(v)
         return [_edge(x, f2(v)), _edge(f2(v), f1(v)), _edge(f1(v), y)] + fan_edges(v)
 
+    lane_p = ([_edge(x, f2(p)), _edge(f2(p), f1(q)), _edge(f1(q), y)] + fan_edges(p),
+              "lane_p")
+    lane_q = ([_edge(x, y)] + fan_edges(q), "lane_q")
+    lane_r = ([_edge(x, f2(r)), _edge(f2(r), f1(r)), _edge(f1(r), y)] + fan_edges(r),
+              "lane_r")
     if p != q and q != r and p != r:
-        emit([_edge(x, f2(p)), _edge(f2(p), f1(q)), _edge(f1(q), y)] + fan_edges(p),
-             "lane_p")
-        emit([_edge(x, y)] + fan_edges(q), "lane_q")
-        emit([_edge(x, f2(r)), _edge(f2(r), f1(r)), _edge(f1(r), y)] + fan_edges(r),
-             "lane_r")
-        used.update((p, q, r))
+        specials = [lane_p, lane_q, lane_r]
     elif p == q and q != r:
-        emit([_edge(x, y)] + fan_edges(q), "lane_q")
-        emit([_edge(x, f2(r)), _edge(f2(r), f1(r)), _edge(f1(r), y)] + fan_edges(r),
-             "lane_r")
-        used.update((p, r))
+        specials = [lane_q, lane_r]
     else:
         # q == r, p == r, or all equal: the q lane carries the direct tree;
         # f1(p) is x itself, so the p lane bridges through f1(q) instead
-        emit([_edge(x, y)] + fan_edges(q), "lane_q")
-        used.add(q)
-        if p != q:
-            emit([_edge(x, f2(p)), _edge(f2(p), f1(q)), _edge(f1(q), y)] + fan_edges(p),
-                 "lane_p")
-            used.add(p)
-
-    for v in range(m):
-        if v not in used:
-            emit(generic(v), "generic")
-    if len(trees) != m:
-        raise ConstructionError("near-far family produced %d trees, wanted %d"
-                                % (len(trees), m))
-    return trees
+        specials = [lane_q] if p == q else [lane_q, lane_p]
+    return _fill_lanes(m, (x, y, z), "near_far", specials, {p, q, r}, generic)
 
 
 def _spread_family(P, x, y, z, corridor, j):

@@ -16,20 +16,25 @@ terminal not yet in it by one leg, so each minimal tree is built exactly
 once.  A tree's key is its sorted edge tuple.  Pairs go to max-flow.
 
 A packing is enumerated once by requiring strictly increasing tree keys.
-Prunes, all sound:
+A new tree may use the unused vertices and the free terminal edges: the
+unused terminal-terminal edges, or none once `dangerous_limit` trees use
+such an edge (`_Search._free_s_edges`).  Prunes, all sound:
 - residual terminal degree: every remaining tree consumes an edge at each
   terminal;
-- internal-vertex supply: at most one tree in a 3-terminal packing can avoid
-  internal vertices entirely (any two terminal-only trees would share a
-  terminal-terminal edge), so remaining <= 1 + |available internals|;
-- edge supply: remaining trees need |S|-1 edges each from the active part;
+- internal-vertex supply: a remaining tree either owns an unused internal
+  vertex, which no other tree shares, or has no internal vertex at all; then
+  it spans S with |S|-1 terminal-terminal edges, each free and owned by it
+  alone.  So remaining <= |unused internals| + free // (|S|-1), for any |S|
+  and any limit;
+- edge supply: remaining trees need |S|-1 edges each from the residual
+  edges, those among unused vertices and terminals less the terminal edges
+  that are not free;
 - pair flow: for terminals x, y the x-y paths inside the remaining trees are
   edge-disjoint, internally disjoint outside S, and each passage through a
   third terminal z burns two of z's edges; so a max flow with unit caps on
   non-terminals and floor(deg(z)/2) caps on other terminals bounds the
   remaining packing size.  The search applies `pair_flow_bound`, the same
-  bound it uses on the whole host, to the residual graph of unused vertices
-  and free terminal edges.
+  bound it uses on the whole host, to the graph of the residual edges.
 
 The budget counts search steps, each step of the leg DFS among them; running
 out returns the incumbent flagged non-exact instead of raising.
@@ -330,20 +335,13 @@ class _Search:
         for s in self.S:
             if G.degree(s) - self.consumed[s] < remaining:
                 return None
-        if len(self.S) == 3:
-            zero_ok = 0
-            if self.dangerous_limit is None or self.dangerous_used < self.dangerous_limit:
-                if len(self.s_edges_all - self.used_s_edges) >= 2:
-                    zero_ok = 1
-            if remaining > zero_ok + len(self.avail):
-                return None
-        else:
-            spare = len(self.s_edges_all - self.used_s_edges) // (len(self.S) - 1)
-            if remaining > len(self.avail) + spare:
-                return None
-        if remaining * (len(self.S) - 1) > self._active_edge_count():
+        spare = len(self._free_s_edges()) // (len(self.S) - 1)
+        if remaining > len(self.avail) + spare:
             return None
-        if remaining >= 2 and chosen and self._residual_flow_bound(remaining) < remaining:
+        edges = self._residual_edges()
+        if remaining * (len(self.S) - 1) > len(edges):
+            return None
+        if remaining >= 2 and chosen and self._residual_flow_bound(edges, remaining) < remaining:
             return None
         for cand in self._trees(last_key):
             self._apply(cand)
@@ -372,11 +370,7 @@ class _Search:
         S-tree.  Union of root paths; its leaves are all terminals.
         `plain` forbids terminal-terminal edges outright."""
         self.tick()
-        if plain or (self.dangerous_limit is not None
-                     and self.dangerous_used >= self.dangerous_limit):
-            allowed_s = frozenset()
-        else:
-            allowed_s = self.s_edges_all - self.used_s_edges
+        allowed_s = frozenset() if plain else self._free_s_edges()
         live = self.avail | self.term_set
         if root is None:
             root = self.S[0]
@@ -413,14 +407,13 @@ class _Search:
                 v = u
         return _Candidate(None, tuple(sorted(edges)), self.term_set)
 
-    def _admissible(self, c):
-        """A terminal-terminal edge serves one tree, and at most
-        `dangerous_limit` trees may use such edges at all."""
-        if not c.s_edges:
-            return True
-        if c.s_edges & self.used_s_edges:
-            return False
-        return self.dangerous_limit is None or self.dangerous_used < self.dangerous_limit
+    def _free_s_edges(self):
+        """The terminal-terminal edges a new tree may take: a terminal edge
+        serves one tree, and at most `dangerous_limit` trees may use such
+        edges at all."""
+        if self.dangerous_limit is not None and self.dangerous_used >= self.dangerous_limit:
+            return frozenset()
+        return self.s_edges_all - self.used_s_edges
 
     def _apply(self, c):
         self.avail.difference_update(c.internals)
@@ -436,34 +429,26 @@ class _Search:
         self.used_s_edges.difference_update(c.s_edges)
         self.dangerous_used -= c.dangerous
 
-    def _active_edge_count(self):
-        active = self.avail | self.term_set
-        count = 0
-        for u in active:
-            for v in self.G.neighbors(u):
-                if v in active:
-                    count += 1
-        return count // 2 - len(self.used_s_edges)
+    def _residual_edges(self):
+        """The edges a new tree may take, sorted: those among unused vertices
+        and terminals, less the terminal edges that are not free."""
+        live = self.avail | self.term_set
+        blocked = self.s_edges_all - self._free_s_edges()
+        return [(u, v) for u in sorted(live) for v in self.G.neighbors(u)
+                if u < v and v in live and (u, v) not in blocked]
 
-    def _residual_flow_bound(self, cutoff):
-        """`pair_flow_bound` on the unused vertices and free terminal edges."""
-        active = sorted(self.avail | self.term_set)
-        index = {v: i for i, v in enumerate(active)}
-        edges = []
-        for u in active:
-            for v in self.G.neighbors(u):
-                if u < v and v in index:
-                    e = (u, v)
-                    if e not in self.used_s_edges:
-                        edges.append((index[u], index[v]))
-        R = Graph(len(active), edges)
+    def _residual_flow_bound(self, edges, cutoff):
+        """`pair_flow_bound` on the graph of the residual `edges`."""
+        index = {v: i for i, v in enumerate(sorted(self.avail | self.term_set))}
+        R = Graph(len(index), [(index[u], index[v]) for u, v in edges])
         return pair_flow_bound(R, [index[s] for s in self.S], cutoff)
 
     # ---- candidate trees ----
 
     def _trees(self, last_key):
-        """Every admissible minimal S-tree of the unused part whose key, its
-        sorted edge tuple, exceeds `last_key`; each exactly once.
+        """Every minimal S-tree of the unused vertices and free terminal
+        edges whose key, its sorted edge tuple, exceeds `last_key`; each
+        exactly once.
 
         A tree grows from t1 = min(S).  Each terminal ti not yet in it, in
         ascending order, is joined by one leg from a tree vertex through
@@ -479,7 +464,7 @@ class _Search:
         the leg DFS drops every edge below the least edge of `last_key`.
         """
         G, S, avail, term_set = self.G, self.S, self.avail, self.term_set
-        used_s_edges = self.used_s_edges
+        blocked = self.s_edges_all - self._free_s_edges()
         floor = last_key[0] if last_key else ()
         tree = {S[0]: None}     # the tree's vertices, in the order they joined
         edges = []
@@ -492,7 +477,7 @@ class _Search:
                 if v in tree or not (v == t or v in avail or v in term_set):
                     continue
                 e = (cur, v) if cur < v else (v, cur)
-                if e < floor or e in used_s_edges:
+                if e < floor or e in blocked:
                     continue
                 tree[v] = None
                 edges.append(e)
@@ -508,9 +493,7 @@ class _Search:
                 i += 1
             if i == len(S):
                 key = tuple(sorted(edges))
-                cand = _Candidate(key, key, term_set)
-                if self._admissible(cand):
-                    yield cand
+                yield _Candidate(key, key, term_set)
                 return
             for u in list(tree):
                 for _ in legs(u, S[i]):

@@ -152,9 +152,10 @@ def minimal_trees(n, edges, S):
     return sorted(found, key=lambda t: (len(t), sorted(t)))
 
 
-def tree_packing_number(n, edges, S):
+def tree_packing_number(n, edges, S, dangerous_limit=None):
     """kappa(S): maximum set of candidate trees that pairwise share no
-    edge and no vertex outside S."""
+    edge and no vertex outside S.  With `dangerous_limit`, at most that
+    many of them may have an edge joining two terminals."""
     S = sorted(set(S))
     if len(S) == 2:
         trees = candidate_pair_trees(edges, S)
@@ -164,9 +165,11 @@ def tree_packing_number(n, edges, S):
         trees = minimal_trees(n, edges, S)
     term = set(S)
     internals = [frozenset(v for e in t for v in e) - term for t in trees]
+    dangerous = [any(u in term and v in term for u, v in t) for t in trees]
+    limit = len(trees) if dangerous_limit is None else dangerous_limit
     best = 0
 
-    def go(start, used_v, used_e, count):
+    def go(start, used_v, used_e, count, ndangerous):
         nonlocal best
         if count > best:
             best = count
@@ -175,9 +178,12 @@ def tree_packing_number(n, edges, S):
                 break
             if used_e & trees[j] or used_v & internals[j]:
                 continue
-            go(j + 1, used_v | internals[j], used_e | trees[j], count + 1)
+            if dangerous[j] and ndangerous == limit:
+                continue
+            go(j + 1, used_v | internals[j], used_e | trees[j], count + 1,
+               ndangerous + dangerous[j])
 
-    go(0, frozenset(), frozenset(), 0)
+    go(0, frozenset(), frozenset(), 0, 0)
     return best
 
 

@@ -7,6 +7,7 @@ module entry point.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -84,6 +85,22 @@ class TestConstruct:
         assert code == 0
         assert "families: 20" in capsys.readouterr().out
         assert run(["verify", str(out)]) == 0
+
+    @pytest.mark.parametrize("base,inner,digest", [
+        ("path:5", "path:3",
+         "21a3ed9ce07ee7fc0518748daa59767d72b2507ae0310dfeea6da7f56976b644"),
+        ("cycle:5", "path:2",
+         "67410f3993ac2f42af14b860f60c568947f070f54450fcc26e5f0f07085698ea"),
+        ("cycle:6", "complete:2",
+         "ee2a59531581296b61242b71bd36d739d63528aa30c482054f33deb3710552d2"),
+    ], ids=["P5oP3", "C5oP2", "C6oK2"])
+    def test_all_triples_certificate_bytes_are_pinned(self, tmp_path, base, inner, digest):
+        # a refactor of the constructions or the oracle keeps every tree,
+        # tag and byte of these certificates
+        out = tmp_path / "fam.json"
+        assert run(["construct", "--lex", base, inner, "--all-triples",
+                    "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_random_triples_are_seeded(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -91,6 +91,16 @@ EVERY_K_HOSTS = {
 EVERY_K_HOSTS.update(("random-%d" % seed, _seeded_graph(seed)) for seed in range(6))
 
 
+# hosts with many terminal-terminal edges, for the dangerous limit
+DANGEROUS_LIMIT_HOSTS = {
+    "K5": family("complete", 5),
+    "K2xK3": EVERY_K_HOSTS["K2xK3"],
+    "P3oK2": EVERY_K_HOSTS["P3oK2"],
+    "W5": Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
+    "random-0": EVERY_K_HOSTS["random-0"],
+}
+
+
 class TestEveryK:
     """The oracle against the brute force for k = 3, 4 and 5, on every
     terminal set of each host."""
@@ -225,6 +235,24 @@ class TestSearchControls:
                 if any(u in term and v in term for u, v in t.edges):
                     dangerous += 1
             assert dangerous <= (1 if pack is one else 0)
+
+    @pytest.mark.parametrize("name", sorted(DANGEROUS_LIMIT_HOSTS))
+    def test_dangerous_limit_against_brute_force(self, name):
+        # at most d trees may take an edge joining two terminals; the
+        # construct composer asks for d = 1
+        G = DANGEROUS_LIMIT_HOSTS[name]
+        edges = G.edges()
+        for k in (3, 4):
+            for S in combinations(range(G.n), k):
+                for d in (0, 1):
+                    pack = max_tree_packing(G, S, dangerous_limit=d)
+                    assert pack.exact and pack.verified
+                    want = brute.tree_packing_number(G.n, edges, S, dangerous_limit=d)
+                    assert pack.size == want, (k, S, d)
+                    term = set(S)
+                    dangerous = sum(any(u in term and v in term for u, v in t.edges)
+                                    for t in pack.trees)
+                    assert dangerous <= d
 
     def test_terminal_validation(self):
         with pytest.raises(ValueError):
