@@ -134,32 +134,36 @@ def dump_certificate(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _check_single(doc):
+def _read(doc):
+    """Validate one certificate document; returns its host, its terminal
+    ids and its trees as lists of id pairs."""
     for key in ("host", "terminals", "trees", "verdict", "stats"):
         if key not in doc:
             raise CertificateError("certificate misses field %r" % key)
     host = rebuild_host(doc["host"])
     if not isinstance(doc["terminals"], list) or not doc["terminals"]:
         raise CertificateError("terminals must be a nonempty list")
-    for s in doc["terminals"]:
-        parse_vertex(host, s)
+    terminals = [parse_vertex(host, s) for s in doc["terminals"]]
     if not isinstance(doc["trees"], list):
         raise CertificateError("trees must be a list")
+    trees = []
     for idx, t in enumerate(doc["trees"]):
         if not isinstance(t, dict) or not isinstance(t.get("edges"), list):
             raise CertificateError("tree %d is malformed" % idx)
         if not isinstance(t.get("provenance", ""), str):
             raise CertificateError("tree %d provenance is not text" % idx)
+        edges = []
         for e in t["edges"]:
             if not isinstance(e, list) or len(e) != 2:
                 raise CertificateError("tree %d edge %r is not a pair" % (idx, e))
-            parse_vertex(host, e[0])
-            parse_vertex(host, e[1])
+            edges.append((parse_vertex(host, e[0]), parse_vertex(host, e[1])))
+        trees.append(edges)
     verdict = doc["verdict"]
     if not isinstance(verdict, dict) or not isinstance(verdict.get("ok"), bool):
         raise CertificateError("verdict must record an ok flag")
     if not isinstance(doc["stats"], dict):
         raise CertificateError("stats must be an object")
+    return host, terminals, trees
 
 
 def load_certificate(text: str) -> dict:
@@ -178,9 +182,9 @@ def load_certificate(text: str) -> dict:
         for item in items:
             if not isinstance(item, dict):
                 raise CertificateError("certificate set item is not an object")
-            _check_single(item)
+            _read(item)
     elif kind == CERTIFICATE_KIND:
-        _check_single(doc)
+        _read(doc)
     else:
         raise CertificateError("unknown document kind %r" % (kind,))
     return doc
@@ -198,22 +202,17 @@ def reverify(doc) -> Verdict:
     Fails when the recorded trees no longer verify, when the recorded
     verdict disagrees with the fresh one, or when the stats claim a value
     or a tree count other than the number of trees, so any edit to a
-    stored certificate is caught.
+    stored certificate is caught.  A malformed document raises
+    `CertificateError`, as `load_certificate` does.
     """
-    host = rebuild_host(doc["host"])
-    terminals = [parse_vertex(host, s) for s in doc["terminals"]]
+    host, terminals, trees = _read(doc)
     if len(set(terminals)) != len(terminals):
         return Verdict(False, "terminal list repeats a vertex")
     for key in ("value", "trees"):
-        if key in doc["stats"] and doc["stats"][key] != len(doc["trees"]):
+        if key in doc["stats"] and doc["stats"][key] != len(trees):
             return Verdict(False, "stats claim %s %r but the certificate holds %d trees"
-                           % (key, doc["stats"][key], len(doc["trees"])))
-    trees = []
-    for t in doc["trees"]:
-        trees.append([(parse_vertex(host, e[0]), parse_vertex(host, e[1]))
-                      for e in t["edges"]])
+                           % (key, doc["stats"][key], len(trees)))
     verdict = verify_packing(host, terminals, trees)
-    recorded = bool(doc["verdict"]["ok"])
-    if verdict.ok and not recorded:
+    if verdict.ok and not doc["verdict"]["ok"]:
         return Verdict(False, "recorded verdict disagrees with re-verification")
     return verdict

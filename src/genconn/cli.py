@@ -25,7 +25,8 @@ from random import Random
 from . import bounds
 from .certificates import (CertificateError, certificate_set, dump_certificate,
                            iter_certificates, load_certificate,
-                           packing_certificate, reverify)
+                           packing_certificate, parse_vertex, reverify,
+                           vertex_name)
 from .connectivity import vertex_connectivity
 from .construct import (ConstructionError, construct_general_lex,
                         construct_tree_lex)
@@ -54,14 +55,17 @@ def _fail(message: str):
     sys.exit(EXIT_INPUT)
 
 
-def _parse_budget(text: str) -> int:
-    try:
-        value = int(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError("budget %r is not a number" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("budget must be positive")
-    return value
+def _at_least(low: int, parse=int):
+    """argparse type: a number read by `parse`, no smaller than `low`."""
+    def check(text: str) -> int:
+        try:
+            value = parse(text)
+        except (ValueError, OverflowError):
+            raise argparse.ArgumentTypeError("%r is not a number" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    return check
 
 
 def load_graph_arg(text: str) -> Graph:
@@ -84,20 +88,15 @@ def load_graph_arg(text: str) -> Graph:
 
 
 def parse_terminals(P, text: str) -> tuple:
+    """Three distinct product vertices named g:h, as certificates name them."""
     tokens = text.split()
     if len(tokens) != 3:
         _fail("expected three terminals, got %d" % len(tokens))
-    flat = []
-    for tok in tokens:
-        try:
-            if ":" in tok:
-                g_text, h_text = tok.split(":")
-                flat.append(P.flatten(int(g_text), int(h_text)))
-            else:
-                flat.append(int(tok))
-        except ValueError as exc:
-            _fail("bad terminal %r: %s" % (tok, exc))
-    if len(set(flat)) != 3:
+    try:
+        flat = {parse_vertex(P, tok) for tok in tokens}
+    except CertificateError as exc:
+        _fail("bad terminal: %s" % exc)
+    if len(flat) != 3:
         _fail("terminals must be three distinct vertices")
     return tuple(sorted(flat))
 
@@ -137,6 +136,12 @@ def _write_text(path: str, text: str):
         _fail("cannot write %r: %s" % (path, exc))
 
 
+def _write_certificates(path, docs):
+    doc = docs[0] if len(docs) == 1 else certificate_set(docs)
+    _write_text(path, dump_certificate(doc))
+    print("certificates: %s" % path)
+
+
 # ---- kappa ----
 
 def cmd_kappa(args) -> int:
@@ -161,14 +166,10 @@ def cmd_kappa(args) -> int:
 
     report("kappa3", kappa3(G, budget=args.budget))
     if args.k is not None and args.k != 3:
-        if args.k < 2:
-            _fail("k must be at least 2")
         report("kappa_%d" % args.k, generalized_connectivity(G, args.k, budget=args.budget))
 
     if args.output:
-        doc = docs[0] if len(docs) == 1 else certificate_set(docs)
-        _write_text(args.output, dump_certificate(doc))
-        print("certificates: %s" % args.output)
+        _write_certificates(args.output, docs)
     return EXIT_BUDGET if inexact else EXIT_OK
 
 
@@ -181,7 +182,7 @@ def _build_family(P, S, budget):
 
 
 def _terminal_text(P, S) -> str:
-    return " ".join("%d:%d" % P.unflatten(s) for s in S)
+    return " ".join(vertex_name(P, s) for s in S)
 
 
 def cmd_construct(args) -> int:
@@ -235,9 +236,7 @@ def cmd_construct(args) -> int:
           % (len(docs), trees_total, fallbacks, failed))
 
     if args.output:
-        doc = docs[0] if len(docs) == 1 else certificate_set(docs)
-        _write_text(args.output, dump_certificate(doc))
-        print("certificates: %s" % args.output)
+        _write_certificates(args.output, docs)
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -331,15 +330,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET,
-                       help="search step budget, accepts 1e7 (default %d)"
-                            % DEFAULT_BUDGET)
+        p.add_argument("--budget", type=_at_least(1, lambda text: int(float(text))),
+                       default=DEFAULT_BUDGET,
+                       help="search step budget, accepts 1e7 (default %d)" % DEFAULT_BUDGET)
 
     p_kappa = sub.add_parser("kappa", help="connectivity numbers of one graph")
     src = p_kappa.add_mutually_exclusive_group(required=True)
     src.add_argument("--family", help="family spec kind:size")
     src.add_argument("--edges", help="edge-list file")
-    p_kappa.add_argument("--k", type=int, help="also report kappa_k")
+    p_kappa.add_argument("--k", type=_at_least(2), help="also report kappa_k")
     p_kappa.add_argument("--output", help="write witness certificates (JSON)")
     add_budget(p_kappa)
     p_kappa.set_defaults(func=cmd_kappa)
@@ -351,7 +350,7 @@ def build_parser() -> _Parser:
     which = p_con.add_mutually_exclusive_group(required=True)
     which.add_argument("--terminals", help="one triple, e.g. '0:0 1:2 3:1'")
     which.add_argument("--all-triples", action="store_true")
-    which.add_argument("--random-triples", type=int, metavar="N")
+    which.add_argument("--random-triples", type=_at_least(1), metavar="N")
     p_con.add_argument("--seed", type=int, default=0)
     p_con.add_argument("--output", help="write certificates (JSON)")
     add_budget(p_con)
@@ -365,8 +364,8 @@ def build_parser() -> _Parser:
     which = p_bnd.add_mutually_exclusive_group(required=True)
     which.add_argument("--pair", action="append", metavar="G,H",
                        help="factor pair, repeatable")
-    which.add_argument("--random-pairs", type=int, metavar="N")
-    p_bnd.add_argument("--max-order", type=int, default=5)
+    which.add_argument("--random-pairs", type=_at_least(1), metavar="N")
+    p_bnd.add_argument("--max-order", type=_at_least(3), default=5)
     p_bnd.add_argument("--seed", type=int, default=0)
     p_bnd.add_argument("--product-oracle-limit", type=int, default=16,
                        help="skip product kappa_3 above this many vertices")

@@ -2,11 +2,15 @@
 
 Vertices of G o H are flat ids g*m + h ("lanes" share the h coordinate).
 Every constructor returns trees whose pairwise vertex intersections are
-exactly the terminal set; all are re-checked by the independent verifier
-before being returned.
+exactly the terminal set.  Each public builder runs the independent
+verifier once on the family it returns: `_fiber_patterns` checks the one-
+and two-fiber families, `_tree_families` the composed three-fiber families
+of the general builder, and `construct_tree_lex` its three-fiber family;
+oracle fallback trees were checked inside `max_tree_packing`.
 
 Pattern inventory, keyed by where the three terminals project in G:
-- one fiber: a star through each neighboring fiber vertex (deg_G(u) * m trees);
+- one fiber: a star through each neighboring fiber vertex (up to
+  deg_G(u) * m trees);
 - two fibers: per G-corridor between the projections, either the adjacent-pair
   or the far-pair family (m trees each);
 - three fibers: the projections span a subtree of the chosen G-tree; the
@@ -26,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .connectivity import disjoint_paths
 from .graphs import (Graph, ProductGraph, is_path_graph, is_tree, tree_median,
                      tree_path)
-from .steiner import (DEFAULT_BUDGET, SteinerTree, max_tree_packing,
+from .steiner import (DEFAULT_BUDGET, SteinerTree, kappa3, max_tree_packing,
                       verify_packing)
 
 
@@ -115,47 +120,7 @@ def _fill_lanes(m, S, name, specials, used, generic):
     return trees
 
 
-# ---------------------------------------------------------------- one fiber
-
-def construct_same_fiber(P: ProductGraph, S) -> list:
-    """All three terminals in fiber u: for each G-neighbor w of u and each
-    lane j, the star joining S through (w, j).  deg_G(u) * m trees."""
-    G, H = P.left, P.right
-    m = H.n
-    gs = {P.unflatten(s)[0] for s in S}
-    if len(gs) != 1:
-        raise ConstructionError("terminals span more than one fiber")
-    u = gs.pop()
-    trees = []
-    for w in G.neighbors(u):
-        for j in range(m):
-            c = P.flatten(w, j)
-            edges = [_edge(s, c) for s in S]
-            trees.append(_as_tree(S, edges, "same_fiber_star"))
-    return _verified(P, tuple(sorted(S)), trees)
-
-
-# ---------------------------------------------------------------- two fibers
-
-def construct_two_in_fiber(P: ProductGraph, S, corridor) -> list:
-    """Two terminals in fiber corridor[0], one in fiber corridor[-1], joined
-    along the given G-corridor.  Adjacent fibers use the coincidence-split
-    adjacent family; longer corridors use the far-pair fan family.  Exactly
-    m trees either way."""
-    a = corridor[0]
-    b = corridor[-1]
-    pair = [s for s in S if P.unflatten(s)[0] == a]
-    far = [s for s in S if P.unflatten(s)[0] == b]
-    if len(pair) != 2 or len(far) != 1:
-        raise ConstructionError("corridor endpoints do not split the terminals 2 + 1")
-    x, y = sorted(pair)
-    z = far[0]
-    if len(corridor) == 2:
-        trees = _adjacent_pair_family(P, x, y, z)
-    else:
-        trees = _far_pair_family(P, x, y, z, corridor)
-    return _verified(P, tuple(sorted(S)), trees)
-
+# ---------------------------------------------------------------- one or two fibers
 
 def _far_pair_family(P, x, y, z, corridor):
     """Pair fiber at corridor[0], far terminal at corridor[-1], gap >= 2.
@@ -245,6 +210,46 @@ def _adjacent_pair_family(P, x, y, z):
                  "via_pair_lane"),
                 ([_edge(x, fb(w)), _edge(y, fb(w)), _edge(fb(w), z)], "intra_far")]
     return _fill_lanes(m, (x, y, z), "pair_adjacent", specials, used, generic)
+
+
+def _fiber_patterns(P, S, ell):
+    """The ell * m verified trees for terminals in one or two fibers, None
+    for three fibers.
+
+    One fiber u: the star joining S through (w, j) for each G-neighbor w of
+    u and each lane j, in that order, the first ell * m of them.  Two
+    fibers: one adjacent-pair or far-pair family per G-corridor from the
+    pair's fiber to the far terminal's, ell internally disjoint corridors
+    (on a tree, the one tree path)."""
+    G = P.left
+    m = P.right.n
+    fibers = [P.unflatten(s)[0] for s in S]
+    proj = sorted(set(fibers))
+    if len(proj) == 3:
+        return None
+    want = ell * m
+    if len(proj) == 1:
+        trees = [_as_tree(S, [_edge(s, P.flatten(w, j)) for s in S], "same_fiber_star")
+                 for w in G.neighbors(proj[0]) for j in range(m)]
+        if len(trees) < want:
+            raise ConstructionError("fiber degree supports only %d trees of %d wanted"
+                                    % (len(trees), want))
+        return _verified(P, S, trees[:want])
+    pair_fiber = max(proj, key=fibers.count)
+    far_fiber = min(proj, key=fibers.count)
+    x, y = sorted(s for s, g in zip(S, fibers) if g == pair_fiber)
+    z = S[fibers.index(far_fiber)]
+    corridors = disjoint_paths(G, pair_fiber, far_fiber, want=ell)
+    if len(corridors) < ell:
+        raise ConstructionError("base graph has only %d disjoint corridors of %d wanted"
+                                % (len(corridors), ell))
+    trees = []
+    for corridor in corridors:
+        if len(corridor) == 2:
+            trees += _adjacent_pair_family(P, x, y, z)
+        else:
+            trees += _far_pair_family(P, x, y, z, corridor)
+    return _verified(P, S, trees)
 
 
 # ---------------------------------------------------------------- three fibers
@@ -411,14 +416,6 @@ def _check_terminals(P, S):
     return S
 
 
-def _two_fiber_corridor(P, G, S, gs):
-    corridor = tree_path(G, gs[0], gs[1])
-    npair = sum(1 for s in S if P.unflatten(s)[0] == corridor[0])
-    if npair == 1:
-        corridor = corridor[::-1]
-    return corridor
-
-
 def construct_path_lex(P: ProductGraph, S) -> ConstructionResult:
     """Tree family for a path base graph: exactly m verified trees."""
     _check_product(P)
@@ -431,21 +428,11 @@ def construct_tree_lex(P: ProductGraph, S) -> ConstructionResult:
     """Tree family for a tree base graph: exactly m verified trees."""
     _check_product(P)
     S = _check_terminals(P, S)
-    G = P.left
-    if not is_tree(G):
+    if not is_tree(P.left):
         raise ConstructionError("base graph is not a tree")
-    m = P.right.n
-    gs = sorted({P.unflatten(s)[0] for s in S})
-    if len(gs) == 1:
-        # keep the m stars through the lowest-id neighboring fiber
-        trees = construct_same_fiber(P, S)[:m]
-    elif len(gs) == 2:
-        trees = construct_two_in_fiber(P, S, _two_fiber_corridor(P, G, S, gs))
-    else:
-        trees = _construct_on_tree(P, G, S)
-    trees = _verified(P, S, trees)
-    if len(trees) != m:
-        raise ConstructionError("family has %d trees, wanted %d" % (len(trees), m))
+    trees = _fiber_patterns(P, S, 1)
+    if trees is None:
+        trees = _verified(P, S, _construct_on_tree(P, P.left, S))
     return ConstructionResult(P, S, trees)
 
 
@@ -461,44 +448,25 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
     """
     _check_product(P)
     S = _check_terminals(P, S)
-    G, H = P.left, P.right
-    m = H.n
+    G = P.left
     notes = []
-    proj = sorted({P.unflatten(s)[0] for s in S})
 
     if ell is None:
-        from .steiner import kappa3 as _kappa3
-        base_k3 = _kappa3(G, budget=budget)
+        base_k3 = kappa3(G, budget=budget)
         if not base_k3.exact:
             notes.append("base kappa_3 budget exhausted; using lower bound %d"
                          % base_k3.value)
         ell = base_k3.value
     if ell < 1:
         raise ConstructionError("tree count target must be at least 1")
-    want = ell * m
+    want = ell * P.right.n
 
-    trees = []
     try:
-        if len(proj) == 1:
-            stars = construct_same_fiber(P, S)
-            if len(stars) < want:
-                raise ConstructionError("fiber degree supports only %d trees of %d wanted"
-                                        % (len(stars), want))
-            trees = stars[:want]
-        elif len(proj) == 2:
-            from .connectivity import disjoint_paths
-            a, b = proj
-            pair_fiber = a if sum(1 for s in S if P.unflatten(s)[0] == a) == 2 else b
-            other = b if pair_fiber == a else a
-            corridors = disjoint_paths(G, pair_fiber, other, want=ell)
-            if len(corridors) < ell:
-                raise ConstructionError(
-                    "base graph has only %d disjoint corridors of %d wanted"
-                    % (len(corridors), ell))
-            trees = [t for c in corridors for t in construct_two_in_fiber(P, S, c)]
-        else:
+        trees = _fiber_patterns(P, S, ell)
+        if trees is None:
             # three fibers: exact base packing, at most one dangerous tree
-            base_pack = max_tree_packing(G, tuple(proj), budget=budget,
+            proj = tuple(sorted({P.unflatten(s)[0] for s in S}))
+            base_pack = max_tree_packing(G, proj, budget=budget,
                                          cap=ell, dangerous_limit=1)
             if base_pack.size >= ell:
                 trees = _tree_families(P, S, base_pack.trees, notes)
@@ -506,6 +474,7 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
                 notes.append(
                     "base packing with one dangerous tree reaches only %d of %d families"
                     % (base_pack.size, ell))
+                trees = []
     except ConstructionError as exc:
         notes.append("pattern construction failed: %s" % exc)
         trees = []
@@ -519,7 +488,7 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
                  for t in prod_pack.trees]
         fallbacks = len(trees)
         notes.append("oracle fallback supplied the family")
-    return ConstructionResult(P, S, _verified(P, S, trees), fallbacks, notes)
+    return ConstructionResult(P, S, trees, fallbacks, notes)
 
 
 def _tree_families(P, S, base_trees, notes):

@@ -224,9 +224,9 @@ class _Candidate:
     it takes at each terminal.  A tree with a terminal-terminal edge is
     dangerous."""
 
-    __slots__ = ("key", "internals", "edges", "s_edges", "term_counts", "dangerous")
+    __slots__ = ("internals", "edges", "s_edges", "term_counts", "dangerous")
 
-    def __init__(self, key, edges, term_set):
+    def __init__(self, edges, term_set):
         internals = set()
         s_edges = []
         term_counts = {}
@@ -241,7 +241,6 @@ class _Candidate:
                 term_counts[v] = term_counts.get(v, 0) + 1
             else:
                 internals.add(v)
-        self.key = key
         self.internals = frozenset(internals)
         self.edges = edges
         self.s_edges = frozenset(s_edges)
@@ -345,7 +344,7 @@ class _Search:
             return None
         for cand in self._trees(last_key):
             self._apply(cand)
-            result = self._extend(chosen + [cand], cand.key, target)
+            result = self._extend(chosen + [cand], cand.edges, target)
             if result is not None:
                 return result
             self._undo(cand)
@@ -362,7 +361,7 @@ class _Search:
         for v in order:
             if all(self.G.has_edge(v, s) for s in self.S):
                 edges = tuple(sorted((v, s) if v < s else (s, v) for s in self.S))
-                return _Candidate(None, edges, self.term_set)
+                return _Candidate(edges, self.term_set)
         return None
 
     def _last_tree(self, rng=None, root=None, plain=False):
@@ -405,7 +404,7 @@ class _Search:
                 edges.add((u, v) if u < v else (v, u))
                 verts.add(v)
                 v = u
-        return _Candidate(None, tuple(sorted(edges)), self.term_set)
+        return _Candidate(tuple(sorted(edges)), self.term_set)
 
     def _free_s_edges(self):
         """The terminal-terminal edges a new tree may take: a terminal edge
@@ -492,8 +491,7 @@ class _Search:
             while i < len(S) and S[i] in tree:
                 i += 1
             if i == len(S):
-                key = tuple(sorted(edges))
-                yield _Candidate(key, key, term_set)
+                yield _Candidate(tuple(sorted(edges)), term_set)
                 return
             for u in list(tree):
                 for _ in legs(u, S[i]):
@@ -529,47 +527,44 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
         if dangerous_limit == 0 and G.has_edge(x, y):
             host = G.without_edge(x, y)
         paths = disjoint_paths(host, x, y, want=cap)
-        trees = [SteinerTree(S, tuple(sorted((min(p[i], p[i + 1]), max(p[i], p[i + 1]))
-                                             for i in range(len(p) - 1))))
-                 for p in paths]
-        hit = cap is not None and len(trees) == cap
-        verdict = verify_packing(G, S, trees)
-        if not verdict.ok:
-            raise AssertionError("internal error: flow paths failed verification: %s"
-                                 % verdict.reason)
-        return TreePacking(G, S, trees, verified=True, exact=not hit, nodes=0, hit_cap=hit)
-
-    search = _Search(G, S, budget, dangerous_limit, component)
-    ub = min(min(G.degree(s) for s in S), pair_flow_bound(G, S),
-             _count_bound(G, S, component))
-    # try packings of size 1, 2, ... up to the bound: the first size that
-    # fails settles the value; running out of budget leaves it open
-    best = []
-    exact = True
-    hit_cap = False
-    for t in range(1, ub + 1):
-        try:
-            found = search.greedy(t)
+        edge_sets = [tuple(sorted((min(p[i], p[i + 1]), max(p[i], p[i + 1]))
+                                  for i in range(len(p) - 1))) for p in paths]
+        hit_cap = cap is not None and len(edge_sets) == cap
+        exact = not hit_cap
+        nodes = 0
+    else:
+        search = _Search(G, S, budget, dangerous_limit, component)
+        ub = min(pair_flow_bound(G, S), _count_bound(G, S, component))
+        # try packings of size 1, 2, ... up to the bound: the first size that
+        # fails settles the value; running out of budget leaves it open
+        best = []
+        exact = True
+        hit_cap = False
+        for t in range(1, ub + 1):
+            try:
+                found = search.greedy(t)
+                if found is None:
+                    found = search.find(t)
+            except _OutOfBudget:
+                exact = False
+                break
             if found is None:
-                found = search.find(t)
-        except _OutOfBudget:
-            exact = False
-            break
-        if found is None:
-            break
-        best = found
-        if cap is not None and t >= cap:
-            hit_cap = True
-            exact = t >= ub
-            break
+                break
+            best = found
+            if cap is not None and t >= cap:
+                hit_cap = True
+                exact = t >= ub
+                break
+        edge_sets = [c.edges for c in best]
+        nodes = search.nodes
 
-    trees = [SteinerTree(S, c.edges) for c in best]
+    trees = [SteinerTree(S, edges) for edges in edge_sets]
     verdict = verify_packing(G, S, trees)
     if not verdict.ok:
-        raise AssertionError("internal error: search output failed verification: %s"
+        raise AssertionError("internal error: packing failed verification: %s"
                              % verdict.reason)
     return TreePacking(G, S, trees, verified=True, exact=exact,
-                       nodes=search.nodes, hit_cap=hit_cap)
+                       nodes=nodes, hit_cap=hit_cap)
 
 
 def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> GCResult:

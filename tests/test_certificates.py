@@ -163,3 +163,15 @@ class TestMalformedInput:
         doc["terminals"] = [doc["terminals"][0]] * 3
         verdict = reverify(doc)
         assert not verdict.ok
+
+    @pytest.mark.parametrize("damage", ["no_stats", "one_name_edge"])
+    def test_reverify_raises_on_a_malformed_document(self, damage):
+        # an in-memory document skips load_certificate, so reverify must
+        # validate it itself
+        _, _, doc = product_doc()
+        if damage == "no_stats":
+            del doc["stats"]
+        else:
+            doc["trees"][0]["edges"][0] = ["0:0"]
+        with pytest.raises(CertificateError):
+            reverify(doc)

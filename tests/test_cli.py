@@ -202,6 +202,23 @@ class TestBounds:
         assert run(["bounds", "--pair", "blob:4,path:3"]) == 4
 
 
+class TestFailFast:
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--lex", "path:4", "path:3", "--terminals", "0 1 99"],
+        ["bounds", "--random-pairs", "1", "--max-order", "2"],
+        ["kappa", "--family", "path:4", "--k", "1"],
+        ["construct", "--lex", "path:4", "path:3", "--random-triples", "0"],
+        ["bounds", "--random-pairs", "0"],
+        ["kappa", "--family", "path:4", "--budget", "inf"],
+    ], ids=["flat-terminal-ids", "max-order-2", "k-1", "random-triples-0",
+            "random-pairs-0", "budget-inf"])
+    def test_bad_argument_exits_4_before_any_work(self, capsys, argv):
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
 class TestTopLevel:
     def test_no_arguments_is_an_input_error(self):
         assert run([]) == 4

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from genconn import construct
 from genconn.connectivity import vertex_connectivity
 from genconn.construct import (ConstructionError, ConstructionResult,
                                construct_general_lex, construct_path_lex,
@@ -175,6 +176,39 @@ class TestGeneralBase:
         P = lex(family("cycle", 4), family("complete", 2))
         with pytest.raises(ConstructionError):
             construct_general_lex(P, (0, 2, 4), ell=0)
+
+
+class TestVerifiedOnce:
+    """Each builder runs the packing verifier once on the family it returns."""
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return verify_packing(*args)
+
+        monkeypatch.setattr(construct, "verify_packing", counting)
+        return calls
+
+    @pytest.mark.parametrize("fibers", [(2, 2, 2), (1, 1, 3), (0, 2, 4)],
+                             ids=["one-fiber", "two-fibers", "three-fibers"])
+    def test_tree_base(self, verify_calls, fibers):
+        P = lex(family("path", 5), family("path", 3))
+        S = tuple(P.flatten(g, h) for h, g in enumerate(fibers))
+        assert_family(P, S, construct_tree_lex(P, S), 3)
+        assert len(verify_calls) == 1
+
+    @pytest.mark.parametrize("fibers", [(2, 2, 2), (1, 1, 3), (0, 2, 3)],
+                             ids=["one-fiber", "two-fibers", "three-fibers"])
+    def test_general_base(self, verify_calls, fibers):
+        P = lex(family("complete", 4), family("path", 3))
+        S = tuple(P.flatten(g, h) for h, g in enumerate(fibers))
+        result = construct_general_lex(P, S)
+        assert_family(P, S, result, 6)
+        assert result.fallbacks == 0
+        assert len(verify_calls) == 1
 
 
 class TestAgainstTheFormulaFloor:
