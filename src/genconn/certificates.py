@@ -98,11 +98,16 @@ def parse_vertex(host: Graph, name) -> int:
         raise CertificateError("vertex name %r is not a string" % (name,))
     try:
         if isinstance(host, ProductGraph):
-            g_text, h_text = name.split(":")
-            return host.flatten(int(g_text), int(h_text))
-        v = int(name)
+            g, h = map(int, name.split(":"))
+        else:
+            v = int(name)
     except ValueError:
         raise CertificateError("bad vertex name %r for this host" % name)
+    if isinstance(host, ProductGraph):
+        try:
+            return host.flatten(g, h)
+        except ValueError as exc:
+            raise CertificateError("bad vertex name %r for this host: %s" % (name, exc))
     if not 0 <= v < host.n:
         raise CertificateError("vertex name %r out of range" % name)
     return v

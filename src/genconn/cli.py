@@ -28,9 +28,8 @@ from .certificates import (CertificateError, certificate_set, dump_certificate,
                            packing_certificate, parse_vertex, reverify,
                            vertex_name)
 from .connectivity import vertex_connectivity
-from .construct import (ConstructionError, construct_general_lex,
-                        construct_tree_lex)
-from .graphs import (Graph, family, is_complete, is_tree, lexicographic_product,
+from .construct import ConstructionError, construct_general_lex
+from .graphs import (Graph, family, is_complete, lexicographic_product,
                      min_degree, parse_edge_list)
 from .steiner import DEFAULT_BUDGET, generalized_connectivity, kappa3
 
@@ -175,12 +174,6 @@ def cmd_kappa(args) -> int:
 
 # ---- construct ----
 
-def _build_family(P, S, budget):
-    if is_tree(P.left):
-        return construct_tree_lex(P, S)
-    return construct_general_lex(P, S, budget=budget)
-
-
 def _terminal_text(P, S) -> str:
     return " ".join(vertex_name(P, s) for s in S)
 
@@ -213,11 +206,12 @@ def cmd_construct(args) -> int:
 
     docs = []
     failed = 0
+    inexact = False
     fallbacks = 0
     trees_total = 0
     for S in triples:
         try:
-            res = _build_family(P, S, args.budget)
+            res = construct_general_lex(P, S, budget=args.budget)
         except ConstructionError as exc:
             failed += 1
             print("terminals %s: FAILED: %s" % (_terminal_text(P, S), exc))
@@ -231,13 +225,16 @@ def cmd_construct(args) -> int:
         if not doc["verdict"]["ok"]:
             failed += 1
         marker = "" if res.fallbacks == 0 else " (%d via oracle)" % res.fallbacks
+        if not res.exact:
+            inexact = True
+            marker += " (budget-limited)"
         print("terminals %s: %d trees%s" % (_terminal_text(P, S), res.size, marker))
     print("families: %d, trees: %d, fallbacks: %d, failures: %d"
           % (len(docs), trees_total, fallbacks, failed))
 
     if args.output:
         _write_certificates(args.output, docs)
-    return EXIT_FAIL if failed else EXIT_OK
+    return EXIT_FAIL if failed else EXIT_BUDGET if inexact else EXIT_OK
 
 
 # ---- verify ----

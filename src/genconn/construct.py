@@ -2,25 +2,25 @@
 
 Vertices of G o H are flat ids g*m + h ("lanes" share the h coordinate).
 Every constructor returns trees whose pairwise vertex intersections are
-exactly the terminal set.  Each public builder runs the independent
-verifier once on the family it returns: `_fiber_patterns` checks the one-
-and two-fiber families, `_tree_families` the composed three-fiber families
-of the general builder, and `construct_tree_lex` its three-fiber family;
-oracle fallback trees were checked inside `max_tree_packing`.
+exactly the terminal set.  One builder, `construct_general_lex`, serves
+every base graph; the path and tree names check their base and call it.
+It verifies each pattern family once; a family that fails, or that the
+patterns cannot build, comes from the product oracle instead, whose trees
+were checked inside `max_tree_packing`.
 
 Pattern inventory, keyed by where the three terminals project in G:
 - one fiber: a star through each neighboring fiber vertex (up to
   deg_G(u) * m trees);
 - two fibers: per G-corridor between the projections, either the adjacent-pair
   or the far-pair family (m trees each);
-- three fibers: the projections span a subtree of the chosen G-tree; the
+- three fibers: per base S-tree (a tree base is its own base packing), the
   collinear cases split by the gap structure (consecutive, near-far, spread)
   and the branching case is a tripod of lane fans.
 
 A family is *dangerous* when its G-tree joins two terminal projections by an
 edge: only those patterns route internal vertices through terminal fibers.
-Two dangerous families would collide inside a terminal fiber, so the general
-composer asks the base oracle for a packing with at most one dangerous tree;
+Two dangerous families would collide inside a terminal fiber, so the builder
+asks the base oracle for a packing with at most one dangerous tree;
 safe families keep to corridor fibers of their own (corridor interiors of
 internally disjoint base trees never overlap), which makes the composition
 collision-free by construction.  The verifier still checks the result.
@@ -48,6 +48,7 @@ class ConstructionResult:
     trees: list
     fallbacks: int = 0
     notes: list = field(default_factory=list)
+    exact: bool = True  # False when a budget ran out: base kappa_3 or product oracle
 
     @property
     def size(self) -> int:
@@ -67,13 +68,6 @@ def _h_neighbor(H, h):
 
 def _as_tree(terminals, edges, provenance):
     return SteinerTree(tuple(sorted(terminals)), tuple(sorted(edges)), provenance)
-
-
-def _verified(P, terminals, trees):
-    verdict = verify_packing(P, terminals, trees)
-    if not verdict.ok:
-        raise ConstructionError("constructed family fails verification: " + verdict.reason)
-    return trees
 
 
 def lane_fan(P: ProductGraph, corridor, z: int):
@@ -122,23 +116,14 @@ def _fill_lanes(m, S, name, specials, used, generic):
 
 # ---------------------------------------------------------------- one or two fibers
 
-def _far_pair_family(P, x, y, z, corridor):
-    """Pair fiber at corridor[0], far terminal at corridor[-1], gap >= 2.
-    Tree j: x and y meet at (w, j) in the fiber next to the pair's, then
-    lane j of a fan carries the corridor to z.  Safe: internals stay in
-    corridor fibers."""
-    m = P.right.n
-    w = corridor[1]
-    fan = lane_fan(P, list(corridor[:0:-1]), z)  # z's fiber down to w
-    trees = []
-    for j in range(m):
-        mid = P.flatten(w, j)
-        path = fan[j]
-        if path[-1] != mid:
-            raise ConstructionError("lane fan does not meet the pair fiber")
-        edges = [_edge(x, mid), _edge(y, mid)] + _path_edges(path)
-        trees.append(_as_tree((x, y, z), edges, "pair_far_fan"))
-    return trees
+def _hub_family(P, legs, tag):
+    """m trees from (terminal, corridor) legs whose corridors all end in one
+    hub fiber: tree j is lane j of each leg's lane fan, glued at the lane
+    copy (hub, j)."""
+    S = tuple(s for s, _ in legs)
+    fans = [lane_fan(P, corridor, s) for s, corridor in legs]
+    return [_as_tree(S, [e for fan in fans for e in _path_edges(fan[j])], tag)
+            for j in range(P.right.n)]
 
 
 def _adjacent_pair_family(P, x, y, z):
@@ -213,14 +198,17 @@ def _adjacent_pair_family(P, x, y, z):
 
 
 def _fiber_patterns(P, S, ell):
-    """The ell * m verified trees for terminals in one or two fibers, None
-    for three fibers.
+    """The ell * m trees for terminals in one or two fibers, None for three
+    fibers.
 
     One fiber u: the star joining S through (w, j) for each G-neighbor w of
     u and each lane j, in that order, the first ell * m of them.  Two
-    fibers: one adjacent-pair or far-pair family per G-corridor from the
-    pair's fiber to the far terminal's, ell internally disjoint corridors
-    (on a tree, the one tree path)."""
+    fibers: one family per G-corridor from the pair's fiber to the far
+    terminal's, ell internally disjoint corridors (on a tree, the one tree
+    path).  An adjacent pair gets the adjacent-pair family; a far pair the
+    hub family at corridor[1], where x and y meet (w, j) and lane j of a
+    fan carries the corridor to z.  Safe: internals stay in corridor
+    fibers."""
     G = P.left
     m = P.right.n
     fibers = [P.unflatten(s)[0] for s in S]
@@ -234,7 +222,7 @@ def _fiber_patterns(P, S, ell):
         if len(trees) < want:
             raise ConstructionError("fiber degree supports only %d trees of %d wanted"
                                     % (len(trees), want))
-        return _verified(P, S, trees[:want])
+        return trees[:want]
     pair_fiber = max(proj, key=fibers.count)
     far_fiber = min(proj, key=fibers.count)
     x, y = sorted(s for s, g in zip(S, fibers) if g == pair_fiber)
@@ -248,8 +236,9 @@ def _fiber_patterns(P, S, ell):
         if len(corridor) == 2:
             trees += _adjacent_pair_family(P, x, y, z)
         else:
-            trees += _far_pair_family(P, x, y, z, corridor)
-    return _verified(P, S, trees)
+            trees += _hub_family(P, [(x, corridor[:2]), (y, corridor[:2]),
+                                     (z, corridor[:0:-1])], "pair_far_fan")
+    return trees
 
 
 # ---------------------------------------------------------------- three fibers
@@ -354,37 +343,16 @@ def _spread_family(P, x, y, z, corridor, j):
     return trees
 
 
-def _tripod_family(P, x, y, z, T, mu):
-    """Branching base tree: three lane fans glued at lane copies of the
-    branch vertex mu."""
-    m = P.right.n
-    fans = []
-    for s in (x, y, z):
-        corridor = tree_path(T, P.unflatten(s)[0], mu)
-        fans.append(lane_fan(P, corridor, s))
-    trees = []
-    for v in range(m):
-        edges = []
-        for fan in fans:
-            edges += _path_edges(fan[v])
-        trees.append(_as_tree((x, y, z), edges, "tripod"))
-    return trees
-
-
-def _construct_on_tree(P: ProductGraph, T: Graph, S, flip: bool = False) -> list:
-    """Dispatch the three-distinct-fiber patterns along the base tree T.
-    `flip` mirrors the collinear patterns (swaps which end terminal plays x)."""
+def _construct_on_tree(P: ProductGraph, T: Graph, S) -> list:
+    """Dispatch the three-distinct-fiber patterns along the base tree T; a
+    branching T gets the hub family at the branch vertex mu, a tripod."""
     coords = sorted(((P.unflatten(s)[0], s) for s in S))
     gs = [g for g, _ in coords]
-    if len(set(gs)) != 3:
-        raise ConstructionError("terminals do not project to three distinct fibers")
     mu = tree_median(T, gs[0], gs[1], gs[2])
     if mu not in gs:
-        return _tripod_family(P, coords[0][1], coords[1][1], coords[2][1], T, mu)
+        return _hub_family(P, [(s, tree_path(T, g, mu)) for g, s in coords], "tripod")
     ends = [s for g, s in coords if g != mu]
     mid = [s for g, s in coords if g == mu][0]
-    if flip:
-        ends = ends[::-1]
     corridor = tree_path(T, P.unflatten(ends[0])[0], P.unflatten(ends[1])[0])
     j = corridor.index(mu)
     d1 = j
@@ -425,38 +393,40 @@ def construct_path_lex(P: ProductGraph, S) -> ConstructionResult:
 
 
 def construct_tree_lex(P: ProductGraph, S) -> ConstructionResult:
-    """Tree family for a tree base graph: exactly m verified trees."""
+    """Tree family for a tree base graph: exactly m verified trees, or the
+    product oracle's family for one base vertex or an isolated vertex in H."""
     _check_product(P)
-    S = _check_terminals(P, S)
     if not is_tree(P.left):
         raise ConstructionError("base graph is not a tree")
-    trees = _fiber_patterns(P, S, 1)
-    if trees is None:
-        trees = _verified(P, S, _construct_on_tree(P, P.left, S))
-    return ConstructionResult(P, S, trees)
+    return construct_general_lex(P, S)
 
 
 def construct_general_lex(P: ProductGraph, S, ell=None,
                           budget: int = DEFAULT_BUDGET) -> ConstructionResult:
     """At least ell * m verified trees for a connected base graph, ell
-    defaulting to the base oracle's kappa_3(G).
+    defaulting to the base oracle's kappa_3(G), and to 1 on a tree.
 
     One pattern family per base S-tree from an exact base packing restricted
-    to at most one terminal-edge ("dangerous") tree.  Where the base graph
-    admits no such packing of size ell, the whole family comes from the
-    exact oracle on the product instead, tagged oracle_fallback.
+    to at most one terminal-edge ("dangerous") tree; a tree base is its own
+    packing.  Where the base graph admits no such packing of size ell, or
+    the patterns fail, the whole family comes from the exact oracle on the
+    product instead, tagged oracle_fallback.
     """
     _check_product(P)
     S = _check_terminals(P, S)
     G = P.left
+    tree_base = is_tree(G)
     notes = []
+    exact = True
 
-    if ell is None:
+    if ell is None and tree_base:
+        ell = 1
+    elif ell is None:
         base_k3 = kappa3(G, budget=budget)
-        if not base_k3.exact:
-            notes.append("base kappa_3 budget exhausted; using lower bound %d"
-                         % base_k3.value)
         ell = base_k3.value
+        if not base_k3.exact:
+            notes.append("base kappa_3 budget exhausted; using lower bound %d" % ell)
+            exact = False
     if ell < 1:
         raise ConstructionError("tree count target must be at least 1")
     want = ell * P.right.n
@@ -465,16 +435,24 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
         trees = _fiber_patterns(P, S, ell)
         if trees is None:
             # three fibers: exact base packing, at most one dangerous tree
-            proj = tuple(sorted({P.unflatten(s)[0] for s in S}))
-            base_pack = max_tree_packing(G, proj, budget=budget,
-                                         cap=ell, dangerous_limit=1)
-            if base_pack.size >= ell:
-                trees = _tree_families(P, S, base_pack.trees, notes)
+            if tree_base:
+                bases = [G]
+            else:
+                proj = tuple(sorted({P.unflatten(s)[0] for s in S}))
+                bases = [Graph(G.n, t.edges) for t in max_tree_packing(
+                    G, proj, budget=budget, cap=ell, dangerous_limit=1).trees]
+            if len(bases) >= ell:
+                trees = [t for T in bases for t in _construct_on_tree(P, T, S)]
             else:
                 notes.append(
                     "base packing with one dangerous tree reaches only %d of %d families"
-                    % (base_pack.size, ell))
+                    % (len(bases), ell))
                 trees = []
+        if trees:
+            verdict = verify_packing(P, S, trees)
+            if not verdict.ok:
+                raise ConstructionError("constructed family fails verification: "
+                                        + verdict.reason)
     except ConstructionError as exc:
         notes.append("pattern construction failed: %s" % exc)
         trees = []
@@ -484,29 +462,9 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
         prod_pack = max_tree_packing(P, S, budget=budget, cap=want)
         if prod_pack.size < want and not prod_pack.exact:
             notes.append("product oracle budget exhausted at %d trees" % prod_pack.size)
+            exact = False
         trees = [SteinerTree(t.terminals, t.edges, "oracle_fallback")
                  for t in prod_pack.trees]
         fallbacks = len(trees)
         notes.append("oracle fallback supplied the family")
-    return ConstructionResult(P, S, trees, fallbacks, notes)
-
-
-def _tree_families(P, S, base_trees, notes):
-    """One pattern family per base tree, with a single mirrored retry if the
-    first composition collides.  Returns [] when patterns cannot compose."""
-    G = P.left
-    for flip in (False, True):
-        families = []
-        for base in base_trees:
-            T = Graph(G.n, base.edges)
-            families.append(_construct_on_tree(P, T, S, flip=flip))
-        candidate = [t for fam in families for t in fam]
-        verdict = verify_packing(P, S, candidate)
-        if verdict.ok:
-            if flip:
-                notes.append("mirrored pattern families after a collision")
-            return candidate
-        if not flip:
-            reason = verdict.reason
-    notes.append("pattern families collided: " + reason)
-    return []
+    return ConstructionResult(P, S, trees, fallbacks, notes, exact)

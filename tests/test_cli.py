@@ -93,7 +93,13 @@ class TestConstruct:
          "67410f3993ac2f42af14b860f60c568947f070f54450fcc26e5f0f07085698ea"),
         ("cycle:6", "complete:2",
          "ee2a59531581296b61242b71bd36d739d63528aa30c482054f33deb3710552d2"),
-    ], ids=["P5oP3", "C5oP2", "C6oK2"])
+        # star base: tripod and far-pair trees
+        ("star:4", "path:2",
+         "2a9e4d2ca470db550a27d84722bf84a186b67b679f9b56fed654b933b35fe50f"),
+        # base packings of three trees, with tripods and far pairs on them
+        ("complete:4", "path:2",
+         "54cbe2ee541943c61f1d83867a7e991e2f64f06bdf8ba07d04a38ee9729ccdea"),
+    ], ids=["P5oP3", "C5oP2", "C6oK2", "S4oP2", "K4oP2"])
     def test_all_triples_certificate_bytes_are_pinned(self, tmp_path, base, inner, digest):
         # a refactor of the constructions or the oracle keeps every tree,
         # tag and byte of these certificates
@@ -110,11 +116,26 @@ class TestConstruct:
         assert run(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_terminals_exit_4(self):
+    def test_budget_limited_family_exits_3(self, tmp_path, capsys):
+        # on the diamond base both the base kappa_3 and the product oracle
+        # run out of budget; the family is printed and flagged partial
+        diamond = tmp_path / "diamond.txt"
+        diamond.write_text("4\n0 1\n0 2\n1 2\n1 3\n2 3\n")
+        code = run(["construct", "--lex", str(diamond), "complete:2",
+                    "--terminals", "1:0 2:0 0:0", "--budget", "5"])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "terminals 0:0 1:0 2:0: 2 trees (2 via oracle) (budget-limited)" in out
+        assert "failures: 0" in out
+
+    def test_bad_terminals_exit_4(self, capsys):
         base = ["construct", "--lex", "path:4", "path:3", "--terminals"]
         assert run(base + ["0:0 1:1"]) == 4          # only two
         assert run(base + ["0:0 0:0 1:1"]) == 4      # repeated
+        capsys.readouterr()
         assert run(base + ["0:0 1:1 9:9"]) == 4      # out of range
+        assert ("bad vertex name '9:9' for this host: coordinate (9, 9) out of range"
+                in capsys.readouterr().err)
 
     def test_missing_mode_exit_4(self):
         assert run(["construct", "--lex", "path:4", "path:3"]) == 4

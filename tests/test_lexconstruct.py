@@ -137,6 +137,27 @@ class TestTreeBase:
         with pytest.raises(ConstructionError):
             construct_tree_lex(P, (0, 4, 8))
 
+    def test_tree_base_calls_no_oracle(self, monkeypatch):
+        # a tree is its own base packing: kappa_3 of a tree is 1
+        def boom(*args, **kwargs):
+            raise AssertionError("oracle called on a tree base")
+
+        monkeypatch.setattr(construct, "kappa3", boom)
+        monkeypatch.setattr(construct, "max_tree_packing", boom)
+        P = lex(family("star", 4), family("path", 3))
+        for S in combinations(range(P.n), 3):
+            result = construct_general_lex(P, S)
+            assert_family(P, S, result, 3)
+            assert result.fallbacks == 0 and result.exact
+
+    def test_isolated_inner_vertex_falls_back(self):
+        # outside the theorem: H = E2 has no adjacency for the patterns
+        P = lex(family("star", 3), Graph(2))
+        result = construct_tree_lex(P, (0, 1, 2))
+        assert_family(P, (0, 1, 2), result, 2)
+        assert result.fallbacks == 2
+        assert all(t.provenance == "oracle_fallback" for t in result.trees)
+
 
 class TestGeneralBase:
     def test_cycle_base_meets_the_product_target(self):
