@@ -19,7 +19,7 @@ from .certificates import (CertificateError, certificate_set,
 from .connectivity import disjoint_paths, vertex_connectivity
 from .construct import (ConstructionError, ConstructionResult,
                         construct_general_lex, construct_path_lex,
-                        construct_tree_lex, lane_fan)
+                        construct_tree_lex)
 from .graphs import (Graph, ProductGraph, cartesian_product, family,
                      is_connected, lexicographic_product, min_degree,
                      parse_edge_list)
@@ -39,7 +39,7 @@ __all__ = [
     "dump_certificate", "family", "generalized_connectivity",
     "is_connected", "kappa3",
     "kappa3_floor_from_kappa", "kappa_ceiling_from_kappa3",
-    "kappa_k_complete", "lane_fan", "lex_kappa3_lower", "lex_kappa3_upper",
+    "kappa_k_complete", "lex_kappa3_lower", "lex_kappa3_upper",
     "lex_kappa_formula", "lexicographic_product", "load_certificate",
     "max_tree_packing", "min_degree",
     "packing_certificate", "parse_edge_list", "reverify",

@@ -29,8 +29,8 @@ from .certificates import (CertificateError, certificate_set, dump_certificate,
                            vertex_name)
 from .connectivity import vertex_connectivity
 from .construct import ConstructionError, construct_general_lex
-from .graphs import (Graph, family, is_complete, lexicographic_product,
-                     min_degree, parse_edge_list)
+from .graphs import (Graph, family, is_complete, is_tree,
+                     lexicographic_product, min_degree, parse_edge_list)
 from .steiner import DEFAULT_BUDGET, generalized_connectivity, kappa3
 
 _FAMILY_SPEC = re.compile(r"^([a-z]+):(\d+)$")
@@ -204,6 +204,13 @@ def cmd_construct(args) -> int:
                 seen.append(S)
         triples = seen
 
+    # one kappa_3(G) for every triple; a tree base needs none, and an
+    # inexact value is left to each family, which notes it
+    ell = None
+    if not is_tree(G):
+        base_k3 = kappa3(G, budget=args.budget)
+        ell = base_k3.value if base_k3.exact else None
+
     docs = []
     failed = 0
     inexact = False
@@ -211,7 +218,7 @@ def cmd_construct(args) -> int:
     trees_total = 0
     for S in triples:
         try:
-            res = construct_general_lex(P, S, budget=args.budget)
+            res = construct_general_lex(P, S, ell=ell, budget=args.budget)
         except ConstructionError as exc:
             failed += 1
             print("terminals %s: FAILED: %s" % (_terminal_text(P, S), exc))

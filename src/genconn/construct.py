@@ -1,4 +1,4 @@
-"""Steiner tree families in lexicographic products, built by explicit pattern.
+"""Steiner tree families in lexicographic products, laid on base trees.
 
 Vertices of G o H are flat ids g*m + h ("lanes" share the h coordinate).
 Every constructor returns trees whose pairwise vertex intersections are
@@ -8,26 +8,34 @@ It verifies each pattern family once; a family that fails, or that the
 patterns cannot build, comes from the product oracle instead, whose trees
 were checked inside `max_tree_packing`.
 
-Pattern inventory, keyed by where the three terminals project in G:
-- one fiber: a star through each neighboring fiber vertex (up to
-  deg_G(u) * m trees);
-- two fibers: per G-corridor between the projections, either the adjacent-pair
-  or the far-pair family (m trees each);
-- three fibers: per base S-tree (a tree base is its own base packing), the
-  collinear cases split by the gap structure (consecutive, near-far, spread)
-  and the branching case is a tripod of lane fans.
+The builder works in two steps.  `_base_trees` picks the base trees, as
+G-edge lists joining the fibers of the three terminals:
+- one fiber u: the edges u-w to the first ell neighbors w;
+- two fibers: the ell `disjoint_paths` corridors between them;
+- three fibers: the base itself when it is a tree, otherwise an exact base
+  packing, each tree cut down to the least subtree joining the fibers.
+`_family` then lays m trees on each base tree.  A base tree is *dangerous*
+when it has an edge between two terminal fibers.  A safe base tree gets
+its m lane lifts (`_lift`): lift j keeps the terminals and puts every
+other base vertex g at (g, j); by shape these are the same-fiber stars,
+far-pair fans, tripods and spread families.  A dangerous base tree gets
+the pattern of its shape (adjacent pair, consecutive or near-far), whose
+trees also route internal vertices through lanes of terminal fibers.
 
-A family is *dangerous* when its G-tree joins two terminal projections by an
-edge: only those patterns route internal vertices through terminal fibers.
-Two dangerous families would collide inside a terminal fiber, so the builder
-asks the base oracle for a packing with at most one dangerous tree;
-safe families keep to corridor fibers of their own (corridor interiors of
-internally disjoint base trees never overlap), which makes the composition
-collision-free by construction.  The verifier still checks the result.
+The composition is collision-free by construction.  The lifts of one base
+tree use distinct lanes, so they share no internal vertex.  Safe families
+keep their internal vertices out of terminal fibers, inside the interior
+of their own base tree, and the interiors of internally disjoint base
+trees never overlap.  Only dangerous families use terminal-fiber lanes, so
+two of them could collide there; hence at most one dangerous tree: the
+corridors have at most one direct edge, and the three-fiber base packing
+is asked for at most one dangerous tree.  The verifier still checks the
+result.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .connectivity import disjoint_paths
@@ -70,37 +78,14 @@ def _as_tree(terminals, edges, provenance):
     return SteinerTree(tuple(sorted(terminals)), tuple(sorted(edges)), provenance)
 
 
-def lane_fan(P: ProductGraph, corridor, z: int):
-    """m paths from z = (corridor[0], r) pairwise sharing only z.
-
-    Path j leaves z into lane j of the next fiber and runs straight down
-    that lane to (corridor[-1], j).  Needs consecutive corridor fibers
-    adjacent in G and no repeated fiber.
-    """
-    G, H = P.left, P.right
-    m = H.n
-    zg, _ = P.unflatten(z)
-    if len(corridor) < 2:
-        raise ConstructionError("corridor must contain at least two fiber indices")
-    if zg != corridor[0]:
-        raise ConstructionError("fan apex %d is not in fiber %d" % (z, corridor[0]))
-    if len(set(corridor)) != len(corridor):
-        raise ConstructionError("corridor revisits a fiber")
-    for a, b in zip(corridor, corridor[1:]):
-        if not G.has_edge(a, b):
-            raise ConstructionError("corridor step %d-%d is not an edge of the base graph"
-                                    % (a, b))
-    paths = []
-    for j in range(m):
-        path = [z]
-        for g in corridor[1:]:
-            path.append(P.flatten(g, j))
-        paths.append(path)
-    return paths
-
-
-def _path_edges(path):
-    return [_edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
+def _lift(P, T, ends, j):
+    """Lane j of the base edges T: the fiber of each terminal in `ends`
+    becomes those terminals, any other base vertex g becomes (g, j)."""
+    image = {}
+    for s in ends:
+        image.setdefault(P.unflatten(s)[0], []).append(s)
+    return [_edge(a, b) for g, h in T
+            for a in image.get(g, [P.flatten(g, j)]) for b in image.get(h, [P.flatten(h, j)])]
 
 
 def _fill_lanes(m, S, name, specials, used, generic):
@@ -114,17 +99,7 @@ def _fill_lanes(m, S, name, specials, used, generic):
     return trees
 
 
-# ---------------------------------------------------------------- one or two fibers
-
-def _hub_family(P, legs, tag):
-    """m trees from (terminal, corridor) legs whose corridors all end in one
-    hub fiber: tree j is lane j of each leg's lane fan, glued at the lane
-    copy (hub, j)."""
-    S = tuple(s for s, _ in legs)
-    fans = [lane_fan(P, corridor, s) for s, corridor in legs]
-    return [_as_tree(S, [e for fan in fans for e in _path_edges(fan[j])], tag)
-            for j in range(P.right.n)]
-
+# ---------------------------------------------------------------- dangerous patterns
 
 def _adjacent_pair_family(P, x, y, z):
     """Pair x, y in fiber a; z in adjacent fiber b.  m trees, at most one
@@ -197,52 +172,6 @@ def _adjacent_pair_family(P, x, y, z):
     return _fill_lanes(m, (x, y, z), "pair_adjacent", specials, used, generic)
 
 
-def _fiber_patterns(P, S, ell):
-    """The ell * m trees for terminals in one or two fibers, None for three
-    fibers.
-
-    One fiber u: the star joining S through (w, j) for each G-neighbor w of
-    u and each lane j, in that order, the first ell * m of them.  Two
-    fibers: one family per G-corridor from the pair's fiber to the far
-    terminal's, ell internally disjoint corridors (on a tree, the one tree
-    path).  An adjacent pair gets the adjacent-pair family; a far pair the
-    hub family at corridor[1], where x and y meet (w, j) and lane j of a
-    fan carries the corridor to z.  Safe: internals stay in corridor
-    fibers."""
-    G = P.left
-    m = P.right.n
-    fibers = [P.unflatten(s)[0] for s in S]
-    proj = sorted(set(fibers))
-    if len(proj) == 3:
-        return None
-    want = ell * m
-    if len(proj) == 1:
-        trees = [_as_tree(S, [_edge(s, P.flatten(w, j)) for s in S], "same_fiber_star")
-                 for w in G.neighbors(proj[0]) for j in range(m)]
-        if len(trees) < want:
-            raise ConstructionError("fiber degree supports only %d trees of %d wanted"
-                                    % (len(trees), want))
-        return trees[:want]
-    pair_fiber = max(proj, key=fibers.count)
-    far_fiber = min(proj, key=fibers.count)
-    x, y = sorted(s for s, g in zip(S, fibers) if g == pair_fiber)
-    z = S[fibers.index(far_fiber)]
-    corridors = disjoint_paths(G, pair_fiber, far_fiber, want=ell)
-    if len(corridors) < ell:
-        raise ConstructionError("base graph has only %d disjoint corridors of %d wanted"
-                                % (len(corridors), ell))
-    trees = []
-    for corridor in corridors:
-        if len(corridor) == 2:
-            trees += _adjacent_pair_family(P, x, y, z)
-        else:
-            trees += _hub_family(P, [(x, corridor[:2]), (y, corridor[:2]),
-                                     (z, corridor[:0:-1])], "pair_far_fan")
-    return trees
-
-
-# ---------------------------------------------------------------- three fibers
-
 def _consecutive_family(P, x, y, z):
     """Projections u1 ~ u2 ~ u3 consecutive in G, y in the middle fiber.
     Generic lane v: star at (u2, v) reaching x and z, plus (u1, v) to y.
@@ -288,8 +217,9 @@ def _consecutive_family(P, x, y, z):
 
 def _near_far_family(P, x, y, z, corridor):
     """Collinear with gaps 1 and >= 2: x one fiber from y, z far.
-    corridor runs from z's fiber to y's fiber u2; fan lane v ends at (u2, v),
-    lane q ends at y itself.  Generic lane v bridges x-(u2,v)-(u1,v)-y."""
+    corridor holds the base edges from z's fiber to y's fiber u2; its lift
+    to lane v ends at (u2, v), which for lane q is y itself.  Generic lane
+    v bridges x-(u2,v)-(u1,v)-y."""
     m = P.right.n
     u1, p = P.unflatten(x)
     u2, q = P.unflatten(y)
@@ -301,10 +231,8 @@ def _near_far_family(P, x, y, z, corridor):
     def f2(h):
         return P.flatten(u2, h)
 
-    fan = lane_fan(P, corridor, z)
-
     def fan_edges(v):
-        return _path_edges(fan[v])
+        return _lift(P, corridor, (z,), v)
 
     def generic(v):
         return [_edge(x, f2(v)), _edge(f2(v), f1(v)), _edge(f1(v), y)] + fan_edges(v)
@@ -325,46 +253,68 @@ def _near_far_family(P, x, y, z, corridor):
     return _fill_lanes(m, (x, y, z), "near_far", specials, {p, q, r}, generic)
 
 
-def _spread_family(P, x, y, z, corridor, j):
-    """All pairwise fiber gaps >= 2; y's fiber is corridor[j].  Tree v routes
-    x down lane v to the fiber before y, crosses to y, re-enters lane v on
-    the far side, and continues to z.  Uniform over lanes, no specials."""
+# ---------------------------------------------------------------- composer
+
+def _base_trees(P, S, ell, budget):
+    """The base trees for the fibers of S, as G-edge lists: ell of them for
+    one or two fibers; for three, the base itself on a tree, otherwise an
+    exact base packing of at most ell trees with at most one dangerous tree,
+    each cut down to the paths from the three fibers to their median."""
+    G = P.left
     m = P.right.n
-    fan_x = lane_fan(P, list(corridor[:j]), x)
-    fan_z = lane_fan(P, list(corridor[j + 1:])[::-1], z)
+    fibers = [P.unflatten(s)[0] for s in S]
+    proj = sorted(set(fibers))
+    if len(proj) == 1:
+        edges = [(proj[0], w) for w in G.neighbors(proj[0])]
+        if len(edges) < ell:
+            raise ConstructionError("fiber degree supports only %d trees of %d wanted"
+                                    % (len(edges) * m, ell * m))
+        return [[e] for e in edges[:ell]]
+    if len(proj) == 2:
+        pair_fiber = max(proj, key=fibers.count)
+        far_fiber = min(proj, key=fibers.count)
+        corridors = disjoint_paths(G, pair_fiber, far_fiber, want=ell)
+        if len(corridors) < ell:
+            raise ConstructionError("base graph has only %d disjoint corridors of %d wanted"
+                                    % (len(corridors), ell))
+        return [list(zip(c, c[1:])) for c in corridors]
+    if is_tree(G):
+        bases = [G]
+    else:
+        bases = [Graph(G.n, t.edges) for t in max_tree_packing(
+            G, tuple(proj), budget=budget, cap=ell, dangerous_limit=1).trees]
     trees = []
-    for v in range(m):
-        before = P.flatten(corridor[j - 1], v)
-        after = P.flatten(corridor[j + 1], v)
-        edges = [_edge(before, y), _edge(y, after)]
-        edges += _path_edges(fan_x[v])
-        edges += _path_edges(fan_z[v])
-        trees.append(_as_tree((x, y, z), edges, "spread"))
+    for T in bases:
+        mu = tree_median(T, *proj)
+        paths = [tree_path(T, g, mu) for g in proj]
+        trees.append([e for path in paths for e in zip(path, path[1:])])
     return trees
 
 
-def _construct_on_tree(P: ProductGraph, T: Graph, S) -> list:
-    """Dispatch the three-distinct-fiber patterns along the base tree T; a
-    branching T gets the hub family at the branch vertex mu, a tripod."""
-    coords = sorted(((P.unflatten(s)[0], s) for s in S))
-    gs = [g for g, _ in coords]
-    mu = tree_median(T, gs[0], gs[1], gs[2])
-    if mu not in gs:
-        return _hub_family(P, [(s, tree_path(T, g, mu)) for g, s in coords], "tripod")
-    ends = [s for g, s in coords if g != mu]
-    mid = [s for g, s in coords if g == mu][0]
-    corridor = tree_path(T, P.unflatten(ends[0])[0], P.unflatten(ends[1])[0])
-    j = corridor.index(mu)
-    d1 = j
-    d2 = len(corridor) - 1 - j
-    x, y, z = ends[0], mid, ends[1]
-    if d1 == 1 and d2 == 1:
+def _family(P, T, S):
+    """The m trees laid on the base tree T, a G-edge list whose leaves are
+    terminal fibers: the lane lifts of a safe T, tagged by its shape, or
+    the pattern family of a dangerous one."""
+    at = {}
+    for s in S:
+        at.setdefault(P.unflatten(s)[0], []).append(s)
+    joined = [e for e in T if e[0] in at and e[1] in at]
+    degree = Counter(g for e in T for g in e)
+    if not joined:
+        tag = "tripod" if 3 in degree.values() else (
+            "same_fiber_star", "pair_far_fan", "spread")[len(at) - 1]
+        return [_as_tree(S, _lift(P, T, S, j), tag) for j in range(P.right.n)]
+    if len(at) == 2:
+        (x, y), (z,) = sorted(at.values(), key=len, reverse=True)
+        return _adjacent_pair_family(P, x, y, z)
+    # three fibers on a path through the middle terminal y; x, z the ends in fiber order
+    y = next(s for s in S if degree[P.unflatten(s)[0]] == 2)
+    x, z = (s for s in S if s != y)
+    if len(joined) == 2:
         return _consecutive_family(P, x, y, z)
-    if d1 == 1 and d2 >= 2:
-        return _near_far_family(P, x, y, z, list(corridor[j:])[::-1])
-    if d1 >= 2 and d2 == 1:
-        return _near_far_family(P, z, y, x, list(corridor[: j + 1]))
-    return _spread_family(P, x, y, z, corridor, j)
+    if P.unflatten(x)[0] not in joined[0]:
+        x, z = z, x
+    return _near_far_family(P, x, y, z, [e for e in T if e != joined[0]])
 
 
 # ---------------------------------------------------------------- dispatchers
@@ -406,8 +356,9 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
     """At least ell * m verified trees for a connected base graph, ell
     defaulting to the base oracle's kappa_3(G), and to 1 on a tree.
 
-    One pattern family per base S-tree from an exact base packing restricted
-    to at most one terminal-edge ("dangerous") tree; a tree base is its own
+    One family of m trees laid on each base tree that `_base_trees` picks;
+    for three fibers these come from an exact base packing restricted to at
+    most one terminal-edge ("dangerous") tree, and a tree base is its own
     packing.  Where the base graph admits no such packing of size ell, or
     the patterns fail, the whole family comes from the exact oracle on the
     product instead, tagged oracle_fallback.
@@ -415,11 +366,10 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
     _check_product(P)
     S = _check_terminals(P, S)
     G = P.left
-    tree_base = is_tree(G)
     notes = []
     exact = True
 
-    if ell is None and tree_base:
+    if ell is None and is_tree(G):
         ell = 1
     elif ell is None:
         base_k3 = kappa3(G, budget=budget)
@@ -432,23 +382,13 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
     want = ell * P.right.n
 
     try:
-        trees = _fiber_patterns(P, S, ell)
-        if trees is None:
-            # three fibers: exact base packing, at most one dangerous tree
-            if tree_base:
-                bases = [G]
-            else:
-                proj = tuple(sorted({P.unflatten(s)[0] for s in S}))
-                bases = [Graph(G.n, t.edges) for t in max_tree_packing(
-                    G, proj, budget=budget, cap=ell, dangerous_limit=1).trees]
-            if len(bases) >= ell:
-                trees = [t for T in bases for t in _construct_on_tree(P, T, S)]
-            else:
-                notes.append(
-                    "base packing with one dangerous tree reaches only %d of %d families"
-                    % (len(bases), ell))
-                trees = []
-        if trees:
+        bases = _base_trees(P, S, ell, budget)
+        if len(bases) < ell:
+            notes.append("base packing with one dangerous tree reaches only %d of %d families"
+                         % (len(bases), ell))
+            trees = []
+        else:
+            trees = [t for T in bases for t in _family(P, T, S)]
             verdict = verify_packing(P, S, trees)
             if not verdict.ok:
                 raise ConstructionError("constructed family fails verification: "

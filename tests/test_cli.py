@@ -14,8 +14,10 @@ import sys
 
 import pytest
 
+from genconn import cli, construct
 from genconn.cli import main
 from genconn.graphs import family, format_edge_list, lexicographic_product
+from genconn.steiner import kappa3
 
 
 def run(argv) -> int:
@@ -99,14 +101,34 @@ class TestConstruct:
         # base packings of three trees, with tripods and far pairs on them
         ("complete:4", "path:2",
          "54cbe2ee541943c61f1d83867a7e991e2f64f06bdf8ba07d04a38ee9729ccdea"),
-    ], ids=["P5oP3", "C5oP2", "C6oK2", "S4oP2", "K4oP2"])
+        # kappa_3 = 2 from the oracle: far pairs over two corridors, tripods
+        ("k33.txt", "path:2",
+         "6c2728559a4f3424eb0490f189ea26fb7c34e1d9f8187ba667df7339b2e8df5a"),
+    ], ids=["P5oP3", "C5oP2", "C6oK2", "S4oP2", "K4oP2", "K33oP2"])
     def test_all_triples_certificate_bytes_are_pinned(self, tmp_path, base, inner, digest):
         # a refactor of the constructions or the oracle keeps every tree,
         # tag and byte of these certificates
+        if base == "k33.txt":
+            (tmp_path / base).write_text(
+                "6\n" + "".join("%d %d\n" % (u, v) for u in range(3) for v in range(3, 6)))
+            base = str(tmp_path / base)
         out = tmp_path / "fam.json"
         assert run(["construct", "--lex", base, inner, "--all-triples",
                     "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_base_kappa3_is_computed_once_per_run(self, monkeypatch):
+        # every triple of a run shares one exact kappa_3(G)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kappa3(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "kappa3", counting)
+        monkeypatch.setattr(construct, "kappa3", counting)
+        assert run(["construct", "--lex", "cycle:6", "complete:2", "--all-triples"]) == 0
+        assert len(calls) == 1
 
     def test_random_triples_are_seeded(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

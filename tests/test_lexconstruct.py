@@ -15,7 +15,7 @@ from genconn import construct
 from genconn.connectivity import vertex_connectivity
 from genconn.construct import (ConstructionError, ConstructionResult,
                                construct_general_lex, construct_path_lex,
-                               construct_tree_lex, lane_fan)
+                               construct_tree_lex)
 from genconn.graphs import (Graph, cartesian_product, family,
                             lexicographic_product)
 from genconn.steiner import kappa3, verify_packing
@@ -28,35 +28,6 @@ def lex(g, h):
 def spider_123() -> Graph:
     # legs of lengths 1, 2, 3 hanging off vertex 0
     return Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
-
-
-class TestLaneFan:
-    def test_paths_share_only_the_apex(self):
-        P = lex(family("path", 4), family("path", 3))
-        z = P.flatten(0, 1)
-        paths = lane_fan(P, [0, 1, 2], z)
-        assert len(paths) == 3
-        seen = set()
-        for j, p in enumerate(paths):
-            assert p[0] == z
-            assert P.unflatten(p[-1]) == (2, j)
-            for u, v in zip(p, p[1:]):
-                assert P.has_edge(u, v)
-            body = set(p) - {z}
-            assert not body & seen
-            seen |= body
-
-    def test_rejects_broken_corridors(self):
-        P = lex(family("path", 4), family("path", 3))
-        z = P.flatten(0, 0)
-        with pytest.raises(ConstructionError):
-            lane_fan(P, [0], z)
-        with pytest.raises(ConstructionError):
-            lane_fan(P, [0, 2], z)  # not an edge of P4
-        with pytest.raises(ConstructionError):
-            lane_fan(P, [1, 2], z)  # apex not in the first fiber
-        with pytest.raises(ConstructionError):
-            lane_fan(P, [0, 1, 0], z)
 
 
 def assert_family(P, S, result, want):
@@ -230,6 +201,33 @@ class TestVerifiedOnce:
         assert_family(P, S, result, 6)
         assert result.fallbacks == 0
         assert len(verify_calls) == 1
+
+
+class TestLaneLift:
+    """A safe family is the lane lifts of one base tree, so each of its trees
+    keeps every internal vertex in one lane of the non-terminal fibers: this
+    is what keeps safe families apart from each other and from the one
+    dangerous family."""
+
+    SAFE = {"same_fiber_star", "pair_far_fan", "tripod", "spread"}
+
+    def test_safe_trees_stay_in_one_lane_outside_terminal_fibers(self):
+        seen = set()
+        for base, fiber in [(("star", 4), ("path", 3)), (("complete", 4), ("path", 3)),
+                            (("cycle", 6), ("complete", 2))]:
+            G = family(*base)
+            P = lex(G, family(*fiber))
+            ell = None if base[0] == "star" else int(kappa3(G))
+            for S in combinations(range(P.n), 3):
+                terminal_fibers = {P.unflatten(s)[0] for s in S}
+                for t in construct_general_lex(P, S, ell=ell).trees:
+                    if t.provenance not in self.SAFE:
+                        continue
+                    seen.add(t.provenance)
+                    internal = {P.unflatten(v) for e in t.edges for v in e if v not in S}
+                    assert not {g for g, _ in internal} & terminal_fibers, (S, t)
+                    assert len({h for _, h in internal}) == 1, (S, t)
+        assert seen == self.SAFE
 
 
 class TestAgainstTheFormulaFloor:
