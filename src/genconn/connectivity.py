@@ -21,91 +21,78 @@ class _SplitFlowNet:
     """The s-t flow of at most `limit` units, augmented on construction.
 
     s and t default to unbounded capacity.  Arcs are stored as parallel
-    lists; arcs[i] and arcs[i^1] are a residual pair."""
+    lists; arcs[i] and arcs[i^1] are a residual pair, and arc 2v is the
+    split arc of vertex v.  The arcs are the same for every flow on a graph,
+    so they are built once and kept in the graph's `_net` slot; a flow
+    copies only the base capacities and sets the split arcs it caps."""
 
     def __init__(self, G: Graph, s: int, t: int, caps=None, limit=None):
-        caps = dict(caps or {})
-        caps.setdefault(s, _BIG)
-        caps.setdefault(t, _BIG)
-        self.head = [[] for _ in range(2 * G.n)]
-        self.to = []
-        self.cap = []
-        for v in range(G.n):
-            self._arc(2 * v, 2 * v + 1, caps.get(v, 1))
-        for v in range(G.n):
-            for w in G.neighbors(v):
-                self._arc(2 * v + 1, 2 * w, 1)
+        if G._net is None:
+            pairs = [(2 * v, 2 * v + 1) for v in range(G.n)]
+            pairs += [(2 * v + 1, 2 * w) for v in range(G.n) for w in G.neighbors(v)]
+            head = [[] for _ in range(2 * G.n)]
+            to = []
+            for i, (a, b) in enumerate(pairs):
+                head[a].append(2 * i)
+                head[b].append(2 * i + 1)
+                to += (b, a)
+            G._net = head, to, [1, 0] * len(pairs)
+        self.head, self.to, base = G._net
+        self.cap = cap = list(base)
+        caps = caps or {}
+        for v, c in caps.items():
+            if 0 <= v < G.n:
+                cap[2 * v] = c
+        for v in (s, t):
+            if v not in caps:
+                cap[2 * v] = _BIG
         self.s, self.t = s, t
         self.value = 0
         while (limit is None or self.value < limit) and self._augment():
             self.value += 1
 
-    def _arc(self, a, b, c):
-        self.head[a].append(len(self.to))
-        self.to.append(b)
-        self.cap.append(c)
-        self.head[b].append(len(self.to))
-        self.to.append(a)
-        self.cap.append(0)
-
     def _augment(self):
-        """One BFS augmenting path from s_out to t_in; returns False if none."""
+        """One BFS augmenting path from s_out to t_in; returns False if none.
+        A node's parent arc is fixed when BFS first reaches it, so the search
+        stops there for t_in."""
         src, dst = 2 * self.s + 1, 2 * self.t
-        prev = {src: None}
+        head, to, cap = self.head, self.to, self.cap
+        prev = [-2] * len(head)     # parent arc; -2 unreached, -1 the source
+        prev[src] = -1
         queue = deque([src])
-        while queue:
-            a = queue.popleft()
-            if a == dst:
-                break
-            for i in self.head[a]:
-                b = self.to[i]
-                if self.cap[i] > 0 and b not in prev:
+        while queue and prev[dst] == -2:
+            for i in head[queue.popleft()]:
+                b = to[i]
+                if cap[i] > 0 and prev[b] == -2:
                     prev[b] = i
+                    if b == dst:
+                        break
                     queue.append(b)
-        if dst not in prev:
-            return False
-        b = dst
-        while prev[b] is not None:
-            i = prev[b]
-            self.cap[i] -= 1
-            self.cap[i ^ 1] += 1
-            b = self.to[i ^ 1]
-        return True
+        i = prev[dst]
+        while i >= 0:
+            cap[i] -= 1
+            cap[i ^ 1] += 1
+            i = prev[to[i ^ 1]]
+        return i == -1
 
     def paths(self):
-        """Split the flow into `value` vertex-id paths s..t."""
-        s, t = self.s, self.t
-        # net forward flow on an even arc equals the residual on its partner
-        flow = {}
-        for i in range(0, len(self.to), 2):
-            if self.cap[i ^ 1] > 0:
-                flow[i] = self.cap[i ^ 1]
+        """Split the flow into `value` vertex-id paths s..t: from s_out,
+        follow the first forward arc that carries flow until t_in."""
+        # net flow on the even arc 2j is the residual on its partner 2j+1
+        flow = self.cap[1::2]
         paths = []
         for _ in range(self.value):
-            node = 2 * s + 1
-            path = [s]
-            while node != 2 * t:
-                picked = None
-                for i in self.head[node]:
-                    if i % 2 == 0 and flow.get(i, 0) > 0:
-                        picked = i
-                        break
-                if picked is None:
-                    raise AssertionError("flow decomposition failed")
-                flow[picked] -= 1
-                node = self.to[picked]
-                if node % 2 == 0 and node != 2 * t:
-                    # entering v_in; traverse the split arc next
-                    v = node // 2
-                    for i in self.head[node]:
-                        if i % 2 == 0 and flow.get(i, 0) > 0 and self.to[i] == 2 * v + 1:
-                            flow[i] -= 1
-                            node = 2 * v + 1
-                            break
-                    else:
-                        raise AssertionError("flow decomposition failed at vertex %d" % v)
-                    path.append(v)
-            path.append(t)
+            node = 2 * self.s + 1
+            path = [self.s]
+            while node != 2 * self.t:
+                i = next((i for i in self.head[node] if i % 2 == 0 and flow[i // 2] > 0), None)
+                if i is None:
+                    raise AssertionError("flow decomposition failed at node %d" % node)
+                flow[i // 2] -= 1
+                node = self.to[i]
+                if node % 2:
+                    path.append(node // 2)      # left v_in by its split arc
+            path.append(self.t)
             paths.append(path)
         return paths
 

@@ -5,6 +5,10 @@ Conventions used across the package:
 - Vertices are dense integer ids 0..n-1.
 - Graphs are immutable after construction; every operation here is a pure
   function, so concurrent reads need no locking.
+- A graph's `_net` slot, None until the first max-flow on it, holds the
+  arc layout of its vertex-split flow network (see `connectivity`).  It is
+  derived data, filled lazily and never changed after, so the graph stays
+  immutable; two threads that fill it at once build equal layouts.
 - A product vertex (g, h) is stored flat as g*m + h where m is the order of
   the right factor, so factor coordinates are recoverable by divmod and fiber
   membership tests are O(1).
@@ -25,7 +29,7 @@ class Graph:
     as sorted tuples (deterministic iteration).
     """
 
-    __slots__ = ("n", "_adj", "_nbrs")
+    __slots__ = ("n", "_adj", "_nbrs", "_net")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -41,6 +45,7 @@ class Graph:
         self.n = n
         self._adj = adj
         self._nbrs = tuple(tuple(sorted(s)) for s in adj)
+        self._net = None
 
     def neighbors(self, u: int) -> tuple:
         return self._nbrs[u]

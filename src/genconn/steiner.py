@@ -501,13 +501,15 @@ class _Search:
 
 
 def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
-                     cap=None, dangerous_limit=None) -> TreePacking:
+                     cap=None, dangerous_limit=None, *, _pair_bound=None) -> TreePacking:
     """Maximum packing of internally disjoint S-trees.
 
     Exact unless the budget runs out (then the incumbent is returned flagged).
     `cap` stops the search as soon as a packing of that size is found, for
     callers that only need a witness.  `dangerous_limit` restricts how many
-    trees may use an edge joining two terminals.
+    trees may use an edge joining two terminals.  `_pair_bound`, private to
+    `generalized_connectivity`, is `pair_flow_bound(G, S)` when the caller
+    has it already.
     """
     S = tuple(sorted(set(S)))
     if len(S) < 2:
@@ -534,7 +536,9 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
         nodes = 0
     else:
         search = _Search(G, S, budget, dangerous_limit, component)
-        ub = min(pair_flow_bound(G, S), _count_bound(G, S, component))
+        if _pair_bound is None:
+            _pair_bound = pair_flow_bound(G, S)
+        ub = min(_pair_bound, _count_bound(G, S, component))
         # try packings of size 1, 2, ... up to the bound: the first size that
         # fails settles the value; running out of budget leaves it open
         best = []
@@ -575,7 +579,9 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
     their flow upper bound, then degree sum, so sets whose value can be
     certified by matching the bound come first; each later set is searched
     only up to the current minimum (a packing that large proves the set
-    cannot improve the minimum, which is all the minimum needs).
+    cannot improve the minimum, which is all the minimum needs).  Each
+    set's flow bound is computed once, for the sort, and handed to its
+    packing search.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -587,20 +593,19 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
         return GCResult(0, True, None, None, 0)
     if G.n < k:
         return GCResult(1, True, None, None, 0)
-    order = sorted(combinations(range(G.n), k),
-                   key=lambda S: (pair_flow_bound(G, S),
-                                  sum(G.degree(s) for s in S), S))
+    order = sorted((pair_flow_bound(G, S), sum(G.degree(s) for s in S), S)
+                   for S in combinations(range(G.n), k))
     cur = None
     wit = None
     wpack = None
     total = 0
     exact = True
-    for S in order:
+    for bound, _, S in order:
         left = budget - total
         if left <= 0:
             exact = False
             break
-        pack = max_tree_packing(G, S, budget=left, cap=cur)
+        pack = max_tree_packing(G, S, budget=left, cap=cur, _pair_bound=bound)
         total += pack.nodes
         if pack.hit_cap:
             continue

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from genconn.connectivity import (capped_flow_value, disjoint_paths,
-                                  vertex_connectivity)
-from genconn.graphs import Graph, family, min_degree
+from genconn.connectivity import (_SplitFlowNet, capped_flow_value,
+                                  disjoint_paths, vertex_connectivity)
+from genconn.graphs import Graph, family, lexicographic_product, min_degree
 
 FLOW_SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -108,3 +110,63 @@ class TestCappedFlow:
     def test_limit_short_circuits(self):
         G = family("complete", 6)
         assert capped_flow_value(G, 0, 1, limit=2) == 2
+
+    def test_explicit_cap_on_an_endpoint_is_honoured(self):
+        # an explicit endpoint cap is kept on the endpoint's split arc, not
+        # replaced by the unbounded default; a path starts past s's split
+        # arc and ends before t's, so such a cap never changes the value
+        G = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        caps = {0: 0, 3: 0}
+        net = _SplitFlowNet(G, 0, 3, caps)
+        assert (net.cap[0], net.cap[2 * 3], net.value) == (0, 0, 1)
+        assert caps == {0: 0, 3: 0}
+        assert _SplitFlowNet(G, 0, 3).cap[0] == _SplitFlowNet(G, 4, 0).cap[0] > 1
+        # a cap on one flow's endpoint does not reach the next flow, where
+        # the same vertex is interior
+        assert capped_flow_value(G, 2, 3, {2: 0, 3: 0}) == 2
+        assert capped_flow_value(G, 1, 4) == 1
+        assert capped_flow_value(G, 1, 4, {2: 0}) == 0
+
+
+def _flow_calls(n):
+    """Every kind of flow on an n-vertex host, in one fixed order."""
+    calls = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            mid = (x + y) // 2
+            calls += [
+                ("value", x, y, None, None),
+                ("value", x, y, {mid: 0, (y + 1) % n: 2}, None),
+                ("value", y, x, {x: 1}, 2),
+                ("value", x, y, None, 1),
+                ("paths", x, y, None, None),
+                ("paths", y, x, None, 2),
+                ("kappa",),
+            ]
+    return calls
+
+
+def _run(G, call):
+    if call[0] == "kappa":
+        return vertex_connectivity(G)
+    kind, x, y, caps, limit = call
+    if kind == "paths":
+        return disjoint_paths(G, x, y, want=limit)
+    return capped_flow_value(G, x, y, caps, limit)
+
+
+class TestFlowNetReuse:
+    """Flows on one graph share its split network; none may see the
+    capacities another left behind."""
+
+    @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled"])
+    def test_mixed_flows_match_a_fresh_graph(self, order):
+        P = lexicographic_product(family("cycle", 4), family("path", 2))
+        calls = _flow_calls(P.n)
+        if order == "reverse":
+            calls.reverse()
+        elif order == "shuffled":
+            random.Random(3).shuffle(calls)
+        shared = Graph(P.n, P.edges())
+        for call in calls:
+            assert _run(shared, call) == _run(Graph(P.n, P.edges()), call), call

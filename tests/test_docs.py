@@ -1,9 +1,10 @@
 """The documented API: the README's library example runs as written, its
 command-line transcript prints what it shows, and every name the package
-exports resolves."""
+exports resolves.  The committed benchmark records are complete."""
 
 from __future__ import annotations
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import genconn
 from genconn.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_runs():
@@ -36,3 +38,33 @@ def test_readme_transcript_matches(tmp_path, monkeypatch, capsys):
 def test_every_exported_name_resolves():
     for name in genconn.__all__:
         assert hasattr(genconn, name), name
+
+
+def test_bench_records_are_complete():
+    # a BENCH file (tools/bench_record.py) holds, for every workload, the
+    # parent's and the change's end-to-end metrics with the units the
+    # benchmark declares, and their round-0 node counts
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    units = {m["name"]: m["unit"] for m in declared["end_to_end"]}
+    workloads = {w["name"] for w in declared["workloads"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records, "no BENCH_*.json committed"
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        machine = record["machine"]
+        assert machine["cpu"] and machine["nproc"] >= 1 and machine["python"], path
+        assert set(record["workloads"]) == workloads, path
+        for name, blocks in record["workloads"].items():
+            for side in ("parent", "change"):
+                block = blocks[side]
+                where = "%s %s %s" % (path.name, name, side)
+                for metric, unit in units.items():
+                    entry = block["metrics"][metric]
+                    assert entry["unit"] == unit, (where, metric)
+                    assert isinstance(entry["value"], (int, float)), (where, metric)
+                assert block["failed"] == 0, where
+                # construct-certify runs no search, so its table is empty
+                nodes = block["round0_nodes"]
+                assert isinstance(nodes, dict) and all(
+                    isinstance(v, int) and v >= 0 for v in nodes.values()), where
+            assert set(blocks["parent"]["round0_nodes"]) == set(blocks["change"]["round0_nodes"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,41 @@ class TestConventions:
         assert got == 2 and int(got) == 2
         assert isinstance(got, GCResult)
         assert got.witness in set(combinations(range(4), 3))
+
+
+class TestScanWork:
+    """The scan's bookkeeping: what it computes per terminal set, and the
+    search work it does, pinned so a speedup can show it changed neither."""
+
+    def test_one_pair_flow_bound_per_set_on_the_host(self, monkeypatch):
+        import genconn.steiner as steiner
+        host = lexicographic_product(family("path", 4), family("path", 3))
+        seen = []
+        original = steiner.pair_flow_bound
+
+        def counted(G, S, cutoff=1):
+            seen.append(G)
+            return original(G, S, cutoff)
+
+        monkeypatch.setattr(steiner, "pair_flow_bound", counted)
+        got = kappa3(host)
+        assert got.exact and got.value == 3
+        # bounds on residual graphs inside the search are not counted
+        assert sum(G is host for G in seen) == comb(host.n, 3)
+
+    @pytest.mark.parametrize("name,host,want", [
+        ("P4oP3", lexicographic_product(family("path", 4), family("path", 3)),
+         (3, True, (0, 2, 9), 2041)),
+        ("C4xP3", cartesian_product(family("cycle", 4), family("path", 3)),
+         (2, True, (0, 2, 3), 138783)),
+        ("diamondoP2", lexicographic_product(
+            Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), family("path", 2)),
+         (4, True, (0, 1, 6), 640)),
+        ("K4", family("complete", 4), (2, True, (0, 1, 2), 20)),
+    ])
+    def test_kappa3_work_is_pinned(self, name, host, want):
+        got = kappa3(host)
+        assert (got.value, got.exact, got.witness, got.nodes) == want, name
 
 
 class TestSearchControls:
