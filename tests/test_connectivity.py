@@ -113,8 +113,10 @@ class TestCappedFlow:
 
     def test_explicit_cap_on_an_endpoint_is_honoured(self):
         # an explicit endpoint cap is kept on the endpoint's split arc, not
-        # replaced by the unbounded default; a path starts past s's split
-        # arc and ends before t's, so such a cap never changes the value
+        # replaced by the unbounded default.  A path starts past s's split
+        # arc and ends before t's, so such a cap never changes the value and
+        # is seen only in the capacities; these lines read them through the
+        # layout _SplitFlowNet documents (arc 2v is the split arc of v)
         G = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
         caps = {0: 0, 3: 0}
         net = _SplitFlowNet(G, 0, 3, caps)

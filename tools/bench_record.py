@@ -1,20 +1,20 @@
 """Record the benchmark's end-to-end figures of this checkout in a BENCH file.
 
-Runs ``perfbench/run.py --trace 0`` once per workload on the checkout this
-script belongs to, reads each report from
-``.perfbench_out/<workload>-seed<N>-trace0.json``, and stores its
-end-to-end metrics, its round-0 node counts and the machine as one block,
-``parent`` or ``change``, of a BENCH file.  The other block of an existing
-file is kept, so a record before and after a change is made by running
-this script in a checkout of the parent commit and then in the changed
-one, both writing the same file:
+Runs ``perfbench/run.py --seed 1 --seconds 28 --trace 0`` once for every
+workload on the checkout this script belongs to, reads each report from
+``.perfbench_out/<workload>-seed1-trace0.json``, and stores its end-to-end
+metrics, its round-0 node counts and the machine as one block, ``parent`` or
+``change``, of a BENCH file.  The other block of an existing file is kept, so
+a record before and after a change is made by running this script in a
+checkout of the parent commit and then in the changed one, both writing the
+same file:
 
     python3 tools/bench_record.py --block parent --out BENCH_8.json   # parent
     python3 tools/bench_record.py --block change --out BENCH_8.json   # change
 
 Standard library only.  A block from a machine with another CPU model or
-processor count, or run with another seed or length, is refused, because
-its times would not compare with the other block's.
+processor count is refused, because its times would not compare with the
+other block's.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("kappa3-cartesian", "kappa3-lex", "kappak-forest", "construct-certify")
 BLOCKS = ("parent", "change")
+SEED = 1
+SECONDS = 28
 
 
 def git_commit(root):
@@ -41,12 +43,12 @@ def git_commit(root):
     return out.stdout.strip()
 
 
-def run_workload(root, workload, seed, seconds):
+def run_workload(root, workload):
     """One untraced benchmark run; returns its report."""
-    path = root / ".perfbench_out" / ("%s-seed%d-trace0.json" % (workload, seed))
+    path = root / ".perfbench_out" / ("%s-seed%d-trace0.json" % (workload, SEED))
     path.unlink(missing_ok=True)    # never read an earlier run's report
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     subprocess.run(cmd, cwd=root, check=False, stdout=subprocess.DEVNULL)
     if not path.exists():
         raise SystemExit("bench_record: %s wrote no report" % workload)
@@ -68,25 +70,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--block", required=True, choices=BLOCKS)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=28)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeatable; default every workload")
     args = parser.parse_args(argv)
 
     record = {}
     if args.out.exists():
         with open(args.out, encoding="utf-8") as fh:
             record = json.load(fh)
-    command = "perfbench/run.py --seed %d --seconds %g --trace 0" % (args.seed, args.seconds)
-    if record.get("command", command) != command:
-        print("bench_record: %s was recorded with %r" % (args.out, record["command"]),
-              file=sys.stderr)
-        return 2
     workloads = record.setdefault("workloads", {})
     machine = None
-    for name in args.workload or WORKLOADS:
-        report = run_workload(ROOT, name, args.seed, args.seconds)
+    for name in WORKLOADS:
+        report = run_workload(ROOT, name)
         machine = machine or {k: report["machine"].get(k) for k in ("python", "nproc", "cpu")}
         workloads.setdefault(name, {})[args.block] = block_of(report)
         print("%-18s %s wall_s %.3f s, %d failed"
@@ -97,7 +90,6 @@ def main(argv=None):
               % (args.out, record["machine"], machine), file=sys.stderr)
         return 2
     record["machine"] = machine
-    record["command"] = command
     record.setdefault("commits", {})[args.block] = git_commit(ROOT)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
