@@ -29,7 +29,7 @@ from .certificates import (CertificateError, certificate_set, dump_certificate,
                            vertex_name)
 from .connectivity import vertex_connectivity
 from .construct import ConstructionError, construct_general_lex
-from .graphs import (Graph, family, is_complete, is_tree,
+from .graphs import (Graph, family, is_complete, is_connected, is_tree,
                      lexicographic_product, min_degree, parse_edge_list)
 from .steiner import DEFAULT_BUDGET, generalized_connectivity, kappa3
 
@@ -81,9 +81,12 @@ def load_graph_arg(text: str) -> Graph:
     except OSError as exc:
         _fail("cannot read graph %r: %s" % (text, exc))
     try:
-        return parse_edge_list(raw)
+        G = parse_edge_list(raw)
     except ValueError as exc:
         _fail("%s: %s" % (text, exc))
+    if G.n == 0:
+        _fail("%s: graph has no vertices" % text)
+    return G
 
 
 def parse_terminals(P, text: str) -> tuple:
@@ -147,7 +150,7 @@ def cmd_kappa(args) -> int:
     G = load_graph_arg(args.family if args.family else args.edges)
     print("graph: %d vertices, %d edges" % (G.n, len(G.edges())))
     print("kappa = %d" % vertex_connectivity(G))
-    print("min_degree = %d" % (min_degree(G) if G.n else 0))
+    print("min_degree = %d" % min_degree(G))
 
     inexact = False
     docs = []
@@ -181,10 +184,9 @@ def _terminal_text(P, S) -> str:
 def cmd_construct(args) -> int:
     G = load_graph_arg(args.factors[0])
     H = load_graph_arg(args.factors[1])
-    try:
-        P = lexicographic_product(G, H)
-    except ValueError as exc:
-        _fail(str(exc))
+    if not is_connected(G):
+        _fail("base graph %s is disconnected" % args.factors[0])
+    P = lexicographic_product(G, H)
 
     if args.terminals:
         triples = [parse_terminals(P, args.terminals)]

@@ -12,8 +12,9 @@ The builder works in two steps.  `_base_trees` picks the base trees, as
 G-edge lists joining the fibers of the three terminals:
 - one fiber u: the edges u-w to the first ell neighbors w;
 - two fibers: the ell `disjoint_paths` corridors between them;
-- three fibers: the base itself when it is a tree, otherwise an exact base
-  packing, each tree cut down to the least subtree joining the fibers.
+- three fibers: on a tree base, the least subtree joining the fibers;
+  otherwise the trees of an exact base packing as they come, already
+  minimal (every leaf a fiber).
 `_family` then lays m trees on each base tree.  A base tree is *dangerous*
 when it has an edge between two terminal fibers.  A safe base tree gets
 its m lane lifts (`_lift`): lift j keeps the terminals and puts every
@@ -39,8 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .connectivity import disjoint_paths
-from .graphs import (Graph, ProductGraph, is_path_graph, is_tree, tree_median,
-                     tree_path)
+from .graphs import ProductGraph, is_path_graph, is_tree
 from .steiner import (DEFAULT_BUDGET, SteinerTree, kappa3, max_tree_packing,
                       verify_packing)
 
@@ -257,9 +257,10 @@ def _near_far_family(P, x, y, z, corridor):
 
 def _base_trees(P, S, ell, budget):
     """The base trees for the fibers of S, as G-edge lists: ell of them for
-    one or two fibers; for three, the base itself on a tree, otherwise an
-    exact base packing of at most ell trees with at most one dangerous tree,
-    each cut down to the paths from the three fibers to their median."""
+    one or two fibers; for three, the least subtree of a tree base joining
+    the fibers, otherwise the trees of an exact base packing of at most ell
+    trees with at most one dangerous tree.  `max_tree_packing` emits only
+    minimal trees, whose every leaf is a terminal, here a fiber."""
     G = P.left
     m = P.right.n
     fibers = [P.unflatten(s)[0] for s in S]
@@ -278,17 +279,14 @@ def _base_trees(P, S, ell, budget):
             raise ConstructionError("base graph has only %d disjoint corridors of %d wanted"
                                     % (len(corridors), ell))
         return [list(zip(c, c[1:])) for c in corridors]
-    if is_tree(G):
-        bases = [G]
-    else:
-        bases = [Graph(G.n, t.edges) for t in max_tree_packing(
+    if not is_tree(G):
+        return [list(t.edges) for t in max_tree_packing(
             G, tuple(proj), budget=budget, cap=ell, dangerous_limit=1).trees]
-    trees = []
-    for T in bases:
-        mu = tree_median(T, *proj)
-        paths = [tree_path(T, g, mu) for g in proj]
-        trees.append([e for path in paths for e in zip(path, path[1:])])
-    return trees
+    # on a tree the least subtree joining fibers a < b < c is the union of
+    # its a-b and b-c paths, the one path `disjoint_paths` finds for each pair
+    a, b, c = proj
+    return [sorted({_edge(*e) for u, v in ((a, b), (b, c))
+                    for path in disjoint_paths(G, u, v) for e in zip(path, path[1:])})]
 
 
 def _family(P, T, S):

@@ -1,4 +1,4 @@
-"""Finite simple undirected graphs, product constructions, and tree utilities.
+"""Finite simple undirected graphs, product constructions, and tree predicates.
 
 Conventions used across the package:
 
@@ -229,45 +229,3 @@ def is_path_graph(G: Graph) -> bool:
     if not is_tree(G):
         return False
     return all(G.degree(u) <= 2 for u in range(G.n))
-
-
-def tree_path(T: Graph, a: int, b: int) -> list:
-    """The unique a-b path of a tree, as a vertex list including endpoints."""
-    parent = {a: None}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        if u == b:
-            break
-        for v in T.neighbors(u):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    if b not in parent:
-        raise ValueError("vertices %s and %s are not connected" % (a, b))
-    path = [b]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def tree_median(T: Graph, a: int, b: int, c: int) -> int:
-    """The unique vertex lying on all three pairwise paths of a tree.
-
-    Equals one of the terminals exactly when some path of T contains all
-    three; otherwise it is the branch vertex of the minimal subtree spanning
-    {a, b, c}.  T may carry isolated vertices besides the tree, as a base
-    S-tree laid on all the vertices of its host does.
-    """
-    if len({a, b, c}) != 3:
-        raise ValueError("terminals must be distinct")
-    # the component of a is a tree and holds every edge exactly when it
-    # has one vertex more than T has edges
-    if len(connected_component(T, a)) != T.edge_count + 1:
-        raise ValueError("graph is not a tree plus isolated vertices")
-    pab = set(tree_path(T, a, b))
-    pbc = set(tree_path(T, b, c))
-    pac = set(tree_path(T, a, c))
-    # the three paths of a tree meet in exactly one vertex
-    return (pab & pbc & pac).pop()

@@ -37,7 +37,9 @@ such an edge (`_Search._free_s_edges`).  Prunes, all sound:
   bound it uses on the whole host, to the graph of the residual edges.
 
 The budget counts search steps, each step of the leg DFS among them; running
-out returns the incumbent flagged non-exact instead of raising.
+out returns the incumbent flagged non-exact instead of raising.  A set that
+runs out before its first tree still gets one BFS tree: on connected
+terminals one exists, so a budget-limited value is never below 1.
 """
 
 from __future__ import annotations
@@ -504,7 +506,8 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
                      cap=None, dangerous_limit=None, *, _pair_bound=None) -> TreePacking:
     """Maximum packing of internally disjoint S-trees.
 
-    Exact unless the budget runs out (then the incumbent is returned flagged).
+    Exact unless the budget runs out (then the incumbent is returned flagged,
+    and exact only when one BFS tree meets an upper bound of 1).
     `cap` stops the search as soon as a packing of that size is found, for
     callers that only need a witness.  `dangerous_limit` restricts how many
     trees may use an edge joining two terminals.  `_pair_bound`, private to
@@ -551,6 +554,13 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
                     found = search.find(t)
             except _OutOfBudget:
                 exact = False
+                if t == 1:
+                    # one BFS, one step past the budget, settles size 1
+                    search.budget = _BIG
+                    search._reset()
+                    tree = search._last_tree()
+                    best = [] if tree is None else [tree]
+                    exact = ub == 1
                 break
             if found is None:
                 break

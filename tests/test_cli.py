@@ -65,6 +65,11 @@ class TestKappa:
         assert run(["kappa", "--edges", str(f), "--budget", "100000"]) == 3
         assert "budget-limited" in capsys.readouterr().out
 
+    def test_budget_of_one_settles_a_path(self, capsys):
+        # one BFS tree meets the bound 1 of the only terminal set of P3
+        assert run(["kappa", "--family", "path:3", "--budget", "1"]) == 0
+        assert "kappa3 = 1 (exact)" in capsys.readouterr().out
+
     def test_bad_inputs_exit_4(self, tmp_path):
         assert run(["kappa", "--family", "triangle:4"]) == 4
         assert run(["kappa", "--edges", str(tmp_path / "missing.txt")]) == 4
@@ -104,13 +109,19 @@ class TestConstruct:
         # kappa_3 = 2 from the oracle: far pairs over two corridors, tripods
         ("k33.txt", "path:2",
          "6c2728559a4f3424eb0490f189ea26fb7c34e1d9f8187ba667df7339b2e8df5a"),
-    ], ids=["P5oP3", "C5oP2", "C6oK2", "S4oP2", "K4oP2", "K33oP2"])
+        # legs 0-1-2, 0-3-4, 0-5-6: tripods around a non-terminal median,
+        # whose base tree leaves out the legs no terminal needs
+        ("spider.txt", "path:2",
+         "116485f3766a4ed4549957d3cfa87ccc2eed0a40e4d908e439359724e85f3751"),
+    ], ids=["P5oP3", "C5oP2", "C6oK2", "S4oP2", "K4oP2", "K33oP2", "spiderP2"])
     def test_all_triples_certificate_bytes_are_pinned(self, tmp_path, base, inner, digest):
         # a refactor of the constructions or the oracle keeps every tree,
         # tag and byte of these certificates
-        if base == "k33.txt":
-            (tmp_path / base).write_text(
-                "6\n" + "".join("%d %d\n" % (u, v) for u in range(3) for v in range(3, 6)))
+        edge_lists = {
+            "k33.txt": "6\n" + "".join("%d %d\n" % (u, v) for u in range(3) for v in range(3, 6)),
+            "spider.txt": "7\n0 1\n1 2\n0 3\n3 4\n0 5\n5 6\n"}
+        if base in edge_lists:
+            (tmp_path / base).write_text(edge_lists[base])
             base = str(tmp_path / base)
         out = tmp_path / "fam.json"
         assert run(["construct", "--lex", base, inner, "--all-triples",
@@ -253,10 +264,18 @@ class TestFailFast:
         ["construct", "--lex", "path:4", "path:3", "--random-triples", "0"],
         ["bounds", "--random-pairs", "0"],
         ["kappa", "--family", "path:4", "--budget", "inf"],
+        ["kappa", "--edges", "{empty}"],
+        ["bounds", "--pair", "{empty},path:2"],
+        ["construct", "--lex", "{split}", "path:2", "--all-triples"],
     ], ids=["flat-terminal-ids", "max-order-2", "k-1", "random-triples-0",
-            "random-pairs-0", "budget-inf"])
-    def test_bad_argument_exits_4_before_any_work(self, capsys, argv):
-        assert run(argv) == 4
+            "random-pairs-0", "budget-inf", "kappa-no-vertices",
+            "bounds-no-vertices", "construct-disconnected-base"])
+    def test_bad_argument_exits_4_before_any_work(self, tmp_path, capsys, argv):
+        # {empty} has no vertices; {split} has two components
+        (tmp_path / "empty.txt").write_text("0\n")
+        (tmp_path / "split.txt").write_text("4\n0 1\n2 3\n")
+        files = {"empty": tmp_path / "empty.txt", "split": tmp_path / "split.txt"}
+        assert run([arg.format(**files) for arg in argv]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1

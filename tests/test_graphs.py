@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from genconn.graphs import (Graph, ProductGraph, cartesian_product, family,
                             format_edge_list, is_complete, is_connected,
                             is_path_graph, is_tree, lexicographic_product,
-                            min_degree, parse_edge_list, tree_median, tree_path)
+                            min_degree, parse_edge_list)
 
 PRODUCT_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -136,28 +136,6 @@ class TestProducts:
 
 
 class TestTreeHelpers:
-    def test_tree_path(self):
-        T = family("star", 5)
-        assert tree_path(T, 1, 2) == [1, 0, 2]
-        assert tree_path(T, 0, 3) == [0, 3]
-
-    def test_tree_median_of_star_is_center(self):
-        T = family("star", 5)
-        assert tree_median(T, 1, 2, 3) == 0
-
-    def test_tree_median_on_path_is_middle_terminal(self):
-        T = family("path", 5)
-        assert tree_median(T, 0, 2, 4) == 2
-
-    def test_tree_median_ignores_isolated_vertices(self):
-        # a base S-tree laid on its whole host: vertices 0 and 5 are unused
-        T = Graph(6, [(1, 2), (2, 3), (2, 4)])
-        assert tree_median(T, 1, 3, 4) == 2
-
-    def test_tree_median_rejects_a_cycle(self):
-        with pytest.raises(ValueError):
-            tree_median(Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), 0, 1, 3)
-
     def test_min_degree(self):
         assert min_degree(family("path", 4)) == 1
         assert min_degree(family("cycle", 6)) == 2

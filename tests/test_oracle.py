@@ -192,6 +192,13 @@ class TestConventions:
         with pytest.raises(ValueError, match="budget"):
             kappa3(family("cycle", 4), budget=budget)
 
+    def test_budget_limited_value_is_at_least_1(self):
+        # out of budget before the first tree of a set, one BFS tree still
+        # stands; no C5 set has an upper bound of 1, so the value stays inexact
+        got = kappa3(family("cycle", 5), budget=1)
+        assert (got.value, got.exact) == (1, False)
+        assert got.packing.size == 1 and got.packing.verified
+
     def test_result_compares_like_an_int(self):
         got = kappa3(family("complete", 4))
         assert got == 2 and int(got) == 2
