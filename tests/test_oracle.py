@@ -7,10 +7,12 @@ the same number.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 import time
 from itertools import combinations
-from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,11 @@ from hypothesis import strategies as st
 
 import brute
 from genconn.bounds import kappa_k_complete
-from genconn.graphs import (Graph, cartesian_product, family,
+from genconn.graphs import (Graph, cartesian_product, family, is_connected,
                             lexicographic_product)
-from genconn.steiner import (GCResult, SteinerTree, generalized_connectivity,
-                             kappa3, max_tree_packing, verify_packing)
+from genconn.steiner import (GCResult, SteinerTree, _twin_classes,
+                             generalized_connectivity, kappa3, max_tree_packing,
+                             verify_packing)
 
 CROSS_CHECK_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -211,6 +214,7 @@ class TestScanWork:
     search work it does, pinned so a speedup can show it changed neither."""
 
     def test_one_pair_flow_bound_per_set_on_the_host(self, monkeypatch):
+        # one set per twin orbit is scanned, so one host bound per orbit
         import genconn.steiner as steiner
         host = lexicographic_product(family("path", 4), family("path", 3))
         seen = []
@@ -223,22 +227,160 @@ class TestScanWork:
         monkeypatch.setattr(steiner, "pair_flow_bound", counted)
         got = kappa3(host)
         assert got.exact and got.value == 3
+        orbits = {_orbit(host, S) for S in combinations(range(host.n), 3)}
+        assert len(orbits) == 84
         # bounds on residual graphs inside the search are not counted
-        assert sum(G is host for G in seen) == comb(host.n, 3)
+        assert sum(G is host for G in seen) == len(orbits)
 
     @pytest.mark.parametrize("name,host,want", [
         ("P4oP3", lexicographic_product(family("path", 4), family("path", 3)),
-         (3, True, (0, 2, 9), 2041)),
+         (3, True, (0, 2, 9), 729)),
+        # twin-free: every set is its own orbit
         ("C4xP3", cartesian_product(family("cycle", 4), family("path", 3)),
          (2, True, (0, 2, 3), 138783)),
         ("diamondoP2", lexicographic_product(
             Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), family("path", 2)),
-         (4, True, (0, 1, 6), 640)),
-        ("K4", family("complete", 4), (2, True, (0, 1, 2), 20)),
+         (4, True, (0, 1, 6), 89)),
+        ("K4", family("complete", 4), (2, True, (0, 1, 2), 5)),
     ])
     def test_kappa3_work_is_pinned(self, name, host, want):
         got = kappa3(host)
         assert (got.value, got.exact, got.witness, got.nodes) == want, name
+
+
+def _twin_label(G):
+    """Each vertex's twin class, from neighbourhoods alone: the vertices that
+    share its open or its closed neighbourhood."""
+    opn = [frozenset(G.neighbors(v)) for v in range(G.n)]
+    closed = [opn[v] | {v} for v in range(G.n)]
+    return [frozenset(u for u in range(G.n) if opn[u] == opn[v] or closed[u] == closed[v])
+            for v in range(G.n)]
+
+
+def _orbit(G, S, label=None):
+    """S up to swapping twins: the multiset of its members' classes."""
+    label = label or _twin_label(G)
+    return tuple(sorted(min(label[s]) for s in S))
+
+
+def _planted_twins(seed):
+    """A connected random graph of 5 to 7 vertices, two of them planted: a
+    true twin of vertex a and then a false twin of vertex b."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(3, 5)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5}
+        a, b = rng.sample(range(n), 2)
+        true, false = n, n + 1
+        edges |= {(u, true) for u in Graph(n, edges).neighbors(a)} | {(a, true)}
+        edges |= {(u, false) for u in Graph(n + 1, edges).neighbors(b)}
+        G = Graph(n + 2, edges)
+        if is_connected(G):
+            return G, (a, true), (b, false)
+
+
+def _small_lex_hosts():
+    """G o K2, G o E2 and G o P3 for small G.  K3 o K2 is K6, left to the
+    closed form because its brute force alone takes 15 s."""
+    P2, P3, K3 = family("path", 2), family("path", 3), family("complete", 3)
+    K2, E2 = family("complete", 2), Graph(2)
+    return {"P2oK2": lexicographic_product(P2, K2), "P3oK2": lexicographic_product(P3, K2),
+            "P2oE2": lexicographic_product(P2, E2), "P3oE2": lexicographic_product(P3, E2),
+            "K3oE2": lexicographic_product(K3, E2), "P2oP3": lexicographic_product(P2, P3)}
+
+
+TWIN_HOSTS = {"planted-%d" % seed: _planted_twins(seed)[0] for seed in range(6)}
+TWIN_HOSTS.update(_small_lex_hosts())
+
+
+class TestTwinOrbitScan:
+    """The scan visits one terminal set per twin orbit.  Against the brute
+    force, and against the full scan of every set."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_twins_are_classes(self, seed):
+        G, true, false = _planted_twins(seed)
+        classes = _twin_classes(G)
+        assert any(set(true) <= set(c) for c in classes)
+        assert any(set(false) <= set(c) for c in classes)
+
+    @pytest.mark.parametrize("name", sorted(TWIN_HOSTS))
+    def test_against_brute_force_and_the_full_scan(self, name, monkeypatch):
+        import genconn.steiner as steiner
+        G = TWIN_HOSTS[name]
+        edges = G.edges()
+        label = _twin_label(G)
+        scanned = []
+        original = steiner.pair_flow_bound
+
+        def counted(H, S, cutoff=1):
+            if H is G:
+                scanned.append(tuple(S))
+            return original(H, S, cutoff)
+
+        monkeypatch.setattr(steiner, "pair_flow_bound", counted)
+        for k in (3, 4):
+            orbits = {}
+            for S in combinations(range(G.n), k):
+                orbits.setdefault(_orbit(G, S, label), []).append(S)
+            kappa = {S: brute.tree_packing_number(G.n, edges, S)
+                     for S in combinations(range(G.n), k)}
+            # twin swaps keep kappa(S)
+            assert all(len({kappa[S] for S in members}) == 1 for members in orbits.values())
+            scanned.clear()
+            got = generalized_connectivity(G, k)
+            # the least member of every orbit, and nothing else
+            assert sorted(scanned) == sorted(members[0] for members in orbits.values())
+            assert got.exact and got.value == min(kappa.values()), k
+            assert got.witness == orbits[_orbit(G, got.witness, label)][0]
+            with monkeypatch.context() as m:
+                m.setattr(steiner, "_twin_classes", lambda G: [])
+                full = generalized_connectivity(G, k)
+            assert (full.value, full.exact, full.witness) == (got.value, True, got.witness)
+            assert got.nodes <= full.nodes
+
+
+def _benchmark_cartesian_hosts():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for inp in workloads.workload(name).inputs:
+            if inp.host == "cartesian":
+                yield inp.key, cartesian_product(*(Graph(n, e) for n, e in inp.graphs))
+
+
+class TestTwinClasses:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fibers_over_complete_are_true_classes(self, m):
+        for G in (family("path", 4), family("cycle", 5)):
+            P = lexicographic_product(G, family("complete", m))
+            fibers = [tuple(range(u * m, u * m + m)) for u in range(G.n)]
+            assert _twin_classes(P) == fibers
+            assert all(P.has_edge(*c[:2]) for c in fibers)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fibers_over_edgeless_are_false_classes(self, m):
+        for G in (family("path", 4), family("cycle", 5)):
+            P = lexicographic_product(G, Graph(m))
+            fibers = [tuple(range(u * m, u * m + m)) for u in range(G.n)]
+            assert _twin_classes(P) == fibers
+            assert not any(P.has_edge(*c[:2]) for c in fibers)
+
+    def test_four_cycle(self):
+        assert _twin_classes(family("cycle", 4)) == [(0, 2), (1, 3)]
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_complete_graph_is_one_class(self, n):
+        assert _twin_classes(family("complete", n)) == [tuple(range(n))]
+
+    def test_benchmark_cartesian_hosts_are_twin_free(self):
+        hosts = dict(_benchmark_cartesian_hosts())
+        assert len(hosts) == 9
+        for key, P in hosts.items():
+            assert _twin_classes(P) == [], key
 
 
 class TestSearchControls:
