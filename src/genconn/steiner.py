@@ -36,8 +36,22 @@ such an edge (`_Search._free_s_edges`).  Prunes, all sound:
   remaining packing size.  The search applies `pair_flow_bound`, the same
   bound it uses on the whole host, to the graph of the residual edges.
 
-The budget counts search steps, each step of the leg DFS among them; running
-out returns the incumbent flagged non-exact instead of raising.  A set that
+One more prune settles a whole set, the fractional packing bound of Jain,
+Mahdian and Salavatipour: for weights w >= 0 on the non-terminal vertices
+and the edges, with W(w) the least weight of an S-tree, the trees of a
+packing are disjoint in both, so p of them weigh at least p * W(w) and at
+most sum(w), and kappa(S) <= floor(sum(w) / W(w)) (weak duality).  A
+least-weight tree is minimal, because w >= 0.  `_fractional_bound` picks w
+by column generation and prices it exactly, with a Dreyfus-Wagner DP in
+integers (`_min_weight_tree`).  `max_tree_packing` computes it at most once
+per set, after a greedy misses, and only for sets of up to
+`_LP_MAX_TERMINALS` terminals; when it is below the size sought, that size
+fails without a search.  `dangerous_limit` only removes trees, so the bound
+holds under it too.
+
+The budget counts search steps, each step of the leg DFS among them, and
+the fractional bound's rounds, pivots and subset merges; running out
+returns the incumbent flagged non-exact instead of raising.  A set that
 runs out before its first tree still gets one BFS tree: on connected
 terminals one exists, so a budget-limited value is never below 1.
 """
@@ -220,6 +234,201 @@ def _count_bound(G: Graph, S, component) -> int:
     return best
 
 
+def _min_weight_tree(G: Graph, S, vw, ew, tick):
+    """Least weight of an S-tree of G, and one minimal tree of that weight:
+    Dreyfus-Wagner in integers.
+
+    `vw[v] >= 0` weighs vertex v and is 0 on terminals; `ew` maps every edge
+    (u, v), u < v, to its weight >= 0.  cost[D][v] is the least weight of a
+    tree holding the terminals of D and v, v's own weight included: a step
+    from v to u adds w(vu) + w(u), and a merge of two trees at v counts w(v)
+    once.  The traced structure may reuse a vertex or an edge, which with
+    weights >= 0 only overcounts, so the minimal S-tree inside its union
+    weighs no more and the value is exact.  `tick` runs once per subset
+    merge."""
+    from heapq import heapify, heappop, heappush
+    inf = float("inf")
+    root, rest = S[0], S[1:]
+    n = G.n
+    steps = [[(u, ew[(v, u) if v < u else (u, v)] + vw[u]) for u in G.neighbors(v)]
+             for v in range(n)]
+    full = (1 << len(rest)) - 1
+    # dicts, filled as far as the budget lets the merges go
+    cost = {}
+    how = {}        # None: a lone terminal; ~u: a step from u; D1: a merge
+    for D in range(1, full + 1):
+        c = [inf] * n
+        h = [None] * n
+        if D & (D - 1) == 0:
+            c[rest[D.bit_length() - 1]] = 0
+        else:
+            low = D & -D
+            sub = (D - 1) & D
+            while sub:
+                if sub & low:
+                    tick()
+                    a, b = cost[sub], cost[D ^ sub]
+                    for v in range(n):
+                        x = a[v] + b[v] - vw[v]
+                        if x < c[v]:
+                            c[v] = x
+                            h[v] = sub
+                sub = (sub - 1) & D
+        heap = [(x, v) for v, x in enumerate(c) if x < inf]
+        heapify(heap)
+        while heap:
+            x, v = heappop(heap)
+            if x > c[v]:
+                continue
+            for u, step in steps[v]:
+                if x + step < c[u]:
+                    c[u] = x + step
+                    h[u] = ~v
+                    heappush(heap, (x + step, u))
+        cost[D] = c
+        how[D] = h
+    union = {}
+    todo = [(full, root)]
+    while todo:
+        D, v = todo.pop()
+        while how[D][v] is not None:
+            x = how[D][v]
+            if x < 0:
+                union.setdefault(v, set()).add(~x)
+                union.setdefault(~x, set()).add(v)
+                v = ~x
+            else:
+                todo.append((x, v))
+                D ^= x
+    # the root paths of a BFS tree of the union reach every terminal
+    parent = {root: None}
+    queue = [root]
+    for u in queue:
+        for v in sorted(union.get(u, ())):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    edges = set()
+    for v in S:
+        while parent[v] is not None and (min(v, parent[v]), max(v, parent[v])) not in edges:
+            edges.add((min(v, parent[v]), max(v, parent[v])))
+            v = parent[v]
+    return cost[full][root], tuple(sorted(edges))
+
+
+# the fractional bound's fixed point: duals are rounded to multiples of
+# 1/_SCALE before the exact pricing; _EPS is the simplex's float tolerance
+_SCALE = 1 << 20
+_EPS = 1e-9
+# the largest terminal set the fractional bound is computed for: one
+# pricing takes about 3^(k-1)/2 subset merges, 966 at k = 8; from about 9
+# terminals on the pricing rounds cost more nodes than the search they save
+# (12 evenly spaced terminals of C24: 13,864 nodes without the bound,
+# 1,038,343 with it)
+_LP_MAX_TERMINALS = 8
+
+
+def _fractional_bound(G: Graph, S, target, trees, tick) -> int:
+    """An upper bound on kappa(S) from the fractional packing LP, returned
+    as soon as it is below `target`.
+
+    Weak duality: for weights w >= 0 on the non-terminal vertices and the
+    edges, let W(w) be the least weight of an S-tree.  The trees of a
+    packing are disjoint in both, so a packing of p trees weighs at least
+    p * W(w) and at most sum(w): kappa(S) <= floor(sum(w) / W(w)).  Any w
+    gives a sound bound once W(w) is exact, which `_min_weight_tree`
+    computes in integers.
+
+    Column generation picks w.  The restricted master LP, maximise the sum
+    of x_T over the trees T found so far subject to at most one unit of
+    each vertex and edge, starts from the disjoint `trees` and is solved by
+    a dense tableau simplex in floats with Bland's rule; x = 0 is feasible,
+    so no phase 1 is needed.  Its duals, clipped at 0 and rounded to
+    integers, are the next w, priced exactly.  The float work only proposes
+    w: error can loosen the bound but not break it.  It stops once no tree
+    is cheaper than one unit (the LP is solved), once the cheapest tree is
+    already a column, or once the bound falls below `target`.  `tick` runs
+    once per round and per pivot, and in the pricing's subset merges.
+    """
+    term = frozenset(S)
+    all_edges = G.edges()
+    rows = {}       # resource (a vertex or an edge) -> its row
+    slack = []      # row -> its slack variable
+    tab = []        # tableau rows, one entry per variable
+    rhs = []
+    basis = []
+    d = []          # reduced costs z_j - c_j; on a slack, its row's dual
+    columns = set()
+
+    def add_column(edges):
+        columns.add(edges)
+        res = list(edges) + sorted({v for e in edges for v in e} - term)
+        for r in res:
+            if r not in rows:
+                # no column uses r yet: a new row with its slack basic
+                rows[r] = len(tab)
+                for row in tab:
+                    row.append(0.0)
+                tab.append([0.0] * len(d) + [1.0])
+                slack.append(len(d))
+                basis.append(len(d))
+                rhs.append(1.0)
+                d.append(0.0)
+        cols = [slack[rows[r]] for r in res]
+        for row in tab:
+            row.append(sum(row[j] for j in cols))
+        d.append(sum(d[j] for j in cols) - 1.0)
+
+    def solve():
+        while True:
+            enter = next((j for j, dj in enumerate(d) if dj < -_EPS), None)
+            if enter is None:
+                return
+            tick()
+            out = None
+            for i, row in enumerate(tab):
+                if row[enter] > _EPS:
+                    ratio = rhs[i] / row[enter]
+                    if (out is None or ratio < least - _EPS
+                            or (ratio <= least + _EPS and basis[i] < basis[out])):
+                        out, least = i, ratio
+            prow = tab[out]
+            p = prow[enter]
+            prow = tab[out] = [a / p for a in prow]
+            rhs[out] /= p
+            for i, row in enumerate(tab):
+                f = row[enter]
+                if i != out and f:
+                    tab[i] = [a - f * b for a, b in zip(row, prow)]
+                    rhs[i] -= f * rhs[out]
+            f = d[enter]
+            d[:] = [a - f * b for a, b in zip(d, prow)]
+            basis[out] = enter
+
+    for t in trees:
+        add_column(t.edges)
+    best = _BIG
+    while True:
+        tick()
+        solve()
+        vw = [0] * G.n
+        ew = dict.fromkeys(all_edges, 0)
+        total = 0
+        for r, i in rows.items():
+            w = round(max(d[slack[i]], 0.0) * _SCALE)
+            if isinstance(r, tuple):
+                ew[r] = w
+            else:
+                vw[r] = w
+            total += w
+        W, edges = _min_weight_tree(G, S, vw, ew, tick)
+        if W:
+            best = min(best, total // W)
+        if best < target or W >= _SCALE or edges in columns:
+            return best
+        add_column(edges)
+
+
 class _Candidate:
     """One minimal S-tree as sorted edges, with what applying it consumes:
     its internal vertices, its terminal-terminal edges, and the edge slots
@@ -281,7 +490,7 @@ class _Search:
         self._reset()
         return self._extend([], None, target)
 
-    def greedy(self, target):
+    def greedy(self, target, settled=None):
         """Repeated residual BFS: each round takes the tree BFS yields and
         removes it.  Sound whenever it succeeds; no completeness claim, the
         caller falls back to the full search when it returns None.
@@ -292,7 +501,9 @@ class _Search:
         tight packing usually needs them for the closing trees, after the
         plain vertices run out.  A near miss is handed to the full search
         to finish: the trees BFS gets wrong are the closing ones, and the
-        residual left for the search is small."""
+        residual left for the search is small.  `settled(target)`, when
+        given, runs after a round misses and before its back-off; True means
+        no packing of that size exists, and the greedy gives up at once."""
         for attempt in range(_GREEDY_ROUNDS):
             rng = Random(0x51ED * (attempt + target)) if attempt else None
             root = self.S[attempt % len(self.S)]
@@ -310,6 +521,8 @@ class _Search:
                 chosen.append(tree)
             if len(chosen) == target:
                 return chosen
+            if settled is not None and settled(target):
+                return None
             if target - len(chosen) <= 2:
                 for back in range(1, min(3, len(chosen)) + 1):
                     if target - (len(chosen) - back) > 3:
@@ -507,7 +720,11 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
     """Maximum packing of internally disjoint S-trees.
 
     Exact unless the budget runs out (then the incumbent is returned flagged,
-    and exact only when one BFS tree meets an upper bound of 1).
+    and exact only when one BFS tree meets an upper bound of 1: the pair
+    flow or count bound, or the fractional bound if it was computed).
+    A size the greedy misses fails outright when the fractional bound (see
+    the module docstring) is below it, and goes to the full search
+    otherwise.
     `cap` stops the search as soon as a packing of that size is found, for
     callers that only need a witness.  `dangerous_limit` restricts how many
     trees may use an edge joining two terminals.  `_pair_bound`, private to
@@ -542,15 +759,30 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
         if _pair_bound is None:
             _pair_bound = pair_flow_bound(G, S)
         ub = min(_pair_bound, _count_bound(G, S, component))
+        lp_done = len(S) > _LP_MAX_TERMINALS
+
+        def settled(t):
+            # does the fractional bound, computed at most once per set, rule
+            # out t trees?
+            nonlocal ub, lp_done
+            if not lp_done:
+                lp_done = True
+                ub = min(ub, _fractional_bound(G, S, t, best, search.tick))
+            return t > ub
+
         # try packings of size 1, 2, ... up to the bound: the first size that
-        # fails settles the value; running out of budget leaves it open
+        # fails settles the value; running out of budget leaves it open.  An
+        # uncapped call asks the fractional bound as soon as a greedy round
+        # misses, before its back-off reruns the search; a capped one only
+        # once the whole greedy misses, as the back-off settles most capped
+        # sets more cheaply
         best = []
         exact = True
         hit_cap = False
         for t in range(1, ub + 1):
             try:
-                found = search.greedy(t)
-                if found is None:
+                found = search.greedy(t, settled if cap is None else None)
+                if found is None and not settled(t):
                     found = search.find(t)
             except _OutOfBudget:
                 exact = False

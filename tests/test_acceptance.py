@@ -153,6 +153,8 @@ def test_criterion_08_inequality_suite_over_the_seeded_sweep():
         bad = rep.failures
         assert not bad, "pair %d (|G|=%d, |H|=%d): %s" % (
             i, G.n, H.n, "; ".join(c.name for c in bad))
+        cut = [c.name for c in rep.checks if c.status == "skipped: budget"]
+        assert not cut, "pair %d: budget ran out in %s" % (i, "; ".join(cut))
 
 
 def test_criterion_09_complete_graph_closed_form():
@@ -179,3 +181,17 @@ def test_criterion_10_certificates_are_byte_identical_across_runs(tmp_path):
         assert run_cli(argv + [flag, str(first)]) == 0
         assert run_cli(argv + [flag, str(second)]) == 0
         assert first.read_bytes() == second.read_bytes(), name
+
+
+def test_criterion_11_lex_floor_proven_exact_on_c5_times_k3():
+    # kappa3(C5 o K3) = 5, above the floor kappa3(C5) * |V(K3)| = 3: the
+    # search finds five trees at every set, and at (0, 3, 9) the fractional
+    # packing bound (LP value 11/2) rules out a sixth that the search alone
+    # cannot refute
+    P = lex(family("cycle", 5), family("complete", 3))
+    assert lex_kappa3_lower(family("cycle", 5), family("complete", 3)) == 3
+    for budget in (50_000, None):
+        got = kappa3(P) if budget is None else kappa3(P, budget=budget)
+        assert got.exact and got.value == 5
+        assert got.witness == (0, 3, 9)
+        assert verify_packing(P, got.witness, got.packing.trees).ok

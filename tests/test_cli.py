@@ -16,7 +16,8 @@ import pytest
 
 from genconn import cli, construct
 from genconn.cli import main
-from genconn.graphs import family, format_edge_list, lexicographic_product
+from genconn.graphs import (cartesian_product, family, format_edge_list,
+                            lexicographic_product)
 from genconn.steiner import kappa3
 
 
@@ -59,8 +60,8 @@ class TestKappa:
         assert doc["stats"]["exact"] is True
 
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
-        P = lexicographic_product(family("cycle", 5), family("complete", 3))
-        f = tmp_path / "c5k3.txt"
+        P = cartesian_product(family("complete", 4), family("complete", 4))
+        f = tmp_path / "k4k4.txt"
         f.write_text(format_edge_list(P))
         assert run(["kappa", "--edges", str(f), "--budget", "100000"]) == 3
         assert "budget-limited" in capsys.readouterr().out

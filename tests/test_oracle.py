@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 
 import brute
 from genconn.bounds import kappa_k_complete
-from genconn.graphs import (Graph, cartesian_product, family, is_connected,
-                            lexicographic_product)
-from genconn.steiner import (GCResult, SteinerTree, _twin_classes,
-                             generalized_connectivity, kappa3, max_tree_packing,
-                             verify_packing)
+from genconn.graphs import (Graph, cartesian_product, connected_component,
+                            family, is_connected, lexicographic_product)
+from genconn.steiner import (GCResult, SteinerTree, _fractional_bound,
+                             _min_weight_tree, _OutOfBudget, _Search,
+                             _twin_classes, generalized_connectivity, kappa3,
+                             max_tree_packing, verify_packing)
 
 CROSS_CHECK_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -237,7 +238,7 @@ class TestScanWork:
          (3, True, (0, 2, 9), 729)),
         # twin-free: every set is its own orbit
         ("C4xP3", cartesian_product(family("cycle", 4), family("path", 3)),
-         (2, True, (0, 2, 3), 138783)),
+         (2, True, (0, 2, 3), 1344)),
         ("diamondoP2", lexicographic_product(
             Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), family("path", 2)),
          (4, True, (0, 1, 6), 89)),
@@ -383,24 +384,115 @@ class TestTwinClasses:
             assert _twin_classes(P) == [], key
 
 
+def _lp_floor(G, S):
+    """The fractional bound solved to the end: no target stops it early."""
+    return _fractional_bound(G, tuple(sorted(S)), 0, [], lambda: None)
+
+
+def _joined_sets(G, k):
+    """The k-sets of G inside one component, the only ones
+    `max_tree_packing` bounds."""
+    return [S for S in combinations(range(G.n), k)
+            if set(S) <= connected_component(G, S[0])]
+
+
+class TestFractionalBound:
+    """The weak-duality bound floor(sum(w) / W(w)) and its exact pricing."""
+
+    @pytest.mark.parametrize("name", sorted(EVERY_K_HOSTS))
+    def test_min_weight_tree_against_brute_force(self, name):
+        # seeded weights, zeros among them, on vertices and edges; the
+        # least weight over every minimal S-tree of the brute force
+        G = EVERY_K_HOSTS[name]
+        edges = G.edges()
+        rng = random.Random(name)
+        for k in (3, 4, 5):
+            sets = _joined_sets(G, k)
+            for S in rng.sample(sets, min(4, len(sets))):
+                term = set(S)
+                trees = brute.minimal_trees(G.n, edges, S)
+                for _ in range(3):
+                    vw = [0 if v in term else rng.randrange(4) for v in range(G.n)]
+                    ew = {e: rng.randrange(4) for e in edges}
+
+                    def weight(t):
+                        return (sum(ew[e] for e in t)
+                                + sum(vw[v] for v in {v for e in t for v in e}))
+
+                    W, tree = _min_weight_tree(G, S, vw, ew, lambda: None)
+                    assert W == min(weight(t) for t in trees), (k, S, vw, ew)
+                    assert frozenset(tree) in set(trees) and weight(tree) == W
+
+    @pytest.mark.parametrize("name", sorted(EVERY_K_HOSTS))
+    def test_bound_is_sound_on_every_terminal_set(self, name):
+        G = EVERY_K_HOSTS[name]
+        edges = G.edges()
+        for k in (3, 4, 5):
+            for S in _joined_sets(G, k):
+                assert _lp_floor(G, S) >= brute.tree_packing_number(G.n, edges, S), (k, S)
+
+    @pytest.mark.parametrize("name,host,S,floor", [
+        ("C5oK3", lexicographic_product(family("cycle", 5), family("complete", 3)),
+         (0, 3, 9), 5),                  # LP 11/2
+        ("K4oC4", lexicographic_product(family("complete", 4), family("cycle", 4)),
+         (0, 1, 2), 13),                 # LP 27/2
+        ("C4oK2", lexicographic_product(family("cycle", 4), family("complete", 2)),
+         (0, 1, 2, 3, 4), 3),            # LP 7/2
+        ("C20", family("cycle", 20), (0, 5, 10, 15), 1),       # LP 4/3
+    ])
+    def test_floors_are_pinned(self, name, host, S, floor):
+        assert _lp_floor(host, S) == floor, name
+
+    def test_floor_of_the_exhausted_cartesian_benchmark_host(self):
+        # cart-sweep09 of the benchmark: LP 5/2 at the set (3, 7, 11)
+        host = dict(_benchmark_cartesian_hosts())["cart-sweep09"]
+        assert _lp_floor(host, (3, 7, 11)) == 2
+
+    def test_settles_sets_the_search_cannot(self):
+        # the greedy finds the value and the bound rules out one more tree
+        C5K3 = lexicographic_product(family("cycle", 5), family("complete", 3))
+        pack = max_tree_packing(C5K3, (0, 3, 9), budget=50_000)
+        assert (pack.size, pack.exact, pack.verified) == (5, True, True)
+        pack = max_tree_packing(family("cycle", 20), (0, 5, 10, 15), budget=1000)
+        assert (pack.size, pack.exact) == (1, True)
+
+    def test_budget_bounds_the_pricing(self):
+        # 12 terminals: one pricing alone takes 3^11 / 2 subset merges, and
+        # every merge ticks the budget
+        G = family("cycle", 24)
+        S = tuple(range(0, 24, 2))
+        search = _Search(G, S, 1000, None, frozenset(range(G.n)))
+        start = time.perf_counter()
+        with pytest.raises(_OutOfBudget):
+            _fractional_bound(G, S, 2, [], search.tick)
+        assert time.perf_counter() - start < 1.0
+        assert search.nodes == 1001
+        start = time.perf_counter()
+        pack = max_tree_packing(G, S, budget=1000)
+        assert time.perf_counter() - start < 1.0
+        assert pack.nodes <= 1001 and pack.verified
+
+
 class TestSearchControls:
     def test_cap_stops_early(self):
         pack = max_tree_packing(family("complete", 6), (0, 1, 2), cap=2)
         assert pack.size == 2 and pack.hit_cap
 
     def test_budget_exhaustion_is_flagged_not_wrong(self):
-        # 5-cycle base: refuting the sixth tree is far beyond any small budget
-        P = lexicographic_product(family("cycle", 5), family("complete", 3))
-        pack = max_tree_packing(P, (0, 3, 9), budget=50_000)
+        # K4 box K4: the fractional bound allows 5 trees, and the search
+        # finds only 4 inside a small budget
+        P = cartesian_product(family("complete", 4), family("complete", 4))
+        pack = max_tree_packing(P, (0, 5, 10), budget=50_000)
         assert not pack.exact
         assert pack.verified
-        assert pack.size == 5
+        assert pack.size == 4
 
     def test_budget_bounds_the_four_terminal_search(self):
         # every path of the search ticks the budget, however many trees the
         # unused part of the host still holds
         start = time.perf_counter()
-        pack = max_tree_packing(family("cycle", 24), (0, 6, 12, 18), budget=1000)
+        P = cartesian_product(family("complete", 4), family("complete", 4))
+        pack = max_tree_packing(P, (0, 5, 10, 15), budget=1000)
         assert time.perf_counter() - start < 1.0
         assert pack.nodes <= 1001
         assert not pack.exact and pack.verified
