@@ -392,6 +392,10 @@ def _fractional_bound(G: Graph, S, target, trees, tick) -> int:
                     if (out is None or ratio < least - _EPS
                             or (ratio <= least + _EPS and basis[i] < basis[out])):
                         out, least = i, ratio
+            if out is None:
+                # only float error can leave the bounded LP without a pivot
+                # row; the duals reached so far are still a fair proposal
+                return
             prow = tab[out]
             p = prow[enter]
             prow = tab[out] = [a / p for a in prow]
