@@ -471,6 +471,10 @@ class TestFractionalBound:
         pack = max_tree_packing(G, S, budget=1000)
         assert time.perf_counter() - start < 1.0
         assert pack.nodes <= 1001 and pack.verified
+        # above 8 terminals the bound is not asked: the search settles this
+        # set in 13,864 nodes, where the pricing rounds took over a million
+        pack = max_tree_packing(G, S)
+        assert (pack.size, pack.exact, pack.nodes) == (1, True, 13864)
 
 
 class TestSearchControls:
