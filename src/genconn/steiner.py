@@ -309,10 +309,13 @@ def _min_weight_tree(G: Graph, S, vw, ew, tick):
                 parent[v] = u
                 queue.append(v)
     edges = set()
+    verts = {root}
     for v in S:
-        while parent[v] is not None and (min(v, parent[v]), max(v, parent[v])) not in edges:
-            edges.add((min(v, parent[v]), max(v, parent[v])))
-            v = parent[v]
+        while v not in verts:
+            u = parent[v]
+            edges.add((u, v) if u < v else (v, u))
+            verts.add(v)
+            v = u
     return cost[full][root], tuple(sorted(edges))
 
 
