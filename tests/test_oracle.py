@@ -22,8 +22,8 @@ import brute
 from genconn.bounds import kappa_k_complete
 from genconn.graphs import (Graph, cartesian_product, connected_component,
                             family, is_connected, lexicographic_product)
-from genconn.steiner import (GCResult, SteinerTree, _fractional_bound,
-                             _min_weight_tree, _OutOfBudget, _Search,
+from genconn.fractional import fractional_bound, min_weight_tree
+from genconn.steiner import (GCResult, SteinerTree, _OutOfBudget, _Search,
                              _twin_classes, generalized_connectivity, kappa3,
                              max_tree_packing, verify_packing)
 
@@ -386,7 +386,7 @@ class TestTwinClasses:
 
 def _lp_floor(G, S):
     """The fractional bound solved to the end: no target stops it early."""
-    return _fractional_bound(G, tuple(sorted(S)), 0, [], lambda: None)
+    return fractional_bound(G, tuple(sorted(S)), 0, [], lambda: None)
 
 
 def _joined_sets(G, k):
@@ -419,7 +419,7 @@ class TestFractionalBound:
                         return (sum(ew[e] for e in t)
                                 + sum(vw[v] for v in {v for e in t for v in e}))
 
-                    W, tree = _min_weight_tree(G, S, vw, ew, lambda: None)
+                    W, tree = min_weight_tree(G, S, vw, ew, lambda: None)
                     assert W == min(weight(t) for t in trees), (k, S, vw, ew)
                     assert frozenset(tree) in set(trees) and weight(tree) == W
 
@@ -464,7 +464,7 @@ class TestFractionalBound:
         search = _Search(G, S, 1000, None, frozenset(range(G.n)))
         start = time.perf_counter()
         with pytest.raises(_OutOfBudget):
-            _fractional_bound(G, S, 2, [], search.tick)
+            fractional_bound(G, S, 2, [], search.tick)
         assert time.perf_counter() - start < 1.0
         assert search.nodes == 1001
         start = time.perf_counter()
