@@ -626,20 +626,6 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
                        nodes=nodes, hit_cap=hit_cap)
 
 
-def _twin_classes(G: Graph) -> list:
-    """The twin classes of G with two or more members, as sorted tuples in
-    order of their least member: vertices with equal open neighbourhoods
-    (false twins) or equal closed neighbourhoods (true twins).  The classes
-    are disjoint: were v a true twin and w a false twin of u, then v in
-    N(u) = N(w) puts w in N[v] = N[u], so w in N(u) = N(w), a loop."""
-    groups = {}
-    for v in range(G.n):
-        nbrs = G.neighbors(v)
-        groups.setdefault((False, nbrs), []).append(v)
-        groups.setdefault((True, tuple(sorted(nbrs + (v,)))), []).append(v)
-    return sorted(tuple(c) for c in groups.values() if len(c) > 1)
-
-
 def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> GCResult:
     """kappa_k(G): minimum of kappa(S) over all k-element terminal sets.
 
@@ -652,17 +638,16 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
     set's flow bound is computed once, for the sort, and handed to its
     packing search.
 
-    Only one set per twin orbit is scanned.  Swapping two twins (see
-    `_twin_classes`) is an automorphism of G, so kappa(S), the flow bound
-    and the degree sum are equal on all sets one swap apart.  The swaps
-    generate the product of the symmetric groups on the classes, so the
-    orbit of S is fixed by how many members S takes from each class, and
-    its lexicographically least member takes the least ones of each: the
-    set in which every member's next lower twin is a member too.  That
-    set sorts first in its orbit; once it is scanned the running minimum
-    is at most its kappa(S), so every later member would only stop at that
-    cap.  Dropping them changes no value, exact flag or witness, only the
-    nodes spent and with them where a budget runs out.
+    Only one set per automorphism orbit is scanned: the lexicographically
+    least k-set of each orbit of the group that `symmetry.generators`
+    generates, from the swaps of twins and, on a product, from its
+    factors' automorphisms.  An automorphism maps S-trees onto trees of
+    the image set, so kappa(S), the flow bound and the degree sum are
+    equal on all sets of an orbit, and its least member sorts first in
+    it.  Once that set is scanned the running minimum is at most its
+    kappa(S), so every later member would only stop at that cap.
+    Dropping them changes no value, exact flag or witness, only the nodes
+    spent and with them where a budget runs out.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -674,10 +659,9 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
         return GCResult(0, True, None, None, 0)
     if G.n < k:
         return GCResult(1, True, None, None, 0)
-    below = {b: a for cls in _twin_classes(G) for a, b in zip(cls, cls[1:])}
+    from .symmetry import orbit_representatives
     order = sorted((pair_flow_bound(G, S), sum(G.degree(s) for s in S), S)
-                   for S in combinations(range(G.n), k)
-                   if all(below.get(s, s) in S for s in S))
+                   for S in orbit_representatives(G, k))
     cur = None
     wit = None
     wpack = None

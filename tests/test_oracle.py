@@ -11,7 +11,7 @@ import importlib.util
 import random
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -20,12 +20,15 @@ from hypothesis import strategies as st
 
 import brute
 from genconn.bounds import kappa_k_complete
-from genconn.graphs import (Graph, cartesian_product, connected_component,
-                            family, is_connected, lexicographic_product)
+from genconn.graphs import (Graph, ProductGraph, cartesian_product,
+                            connected_component, family, is_connected,
+                            lexicographic_product)
 from genconn.fractional import fractional_bound, min_weight_tree
 from genconn.steiner import (GCResult, SteinerTree, _OutOfBudget, _Search,
-                             _twin_classes, generalized_connectivity, kappa3,
+                             generalized_connectivity, kappa3,
                              max_tree_packing, verify_packing)
+from genconn.symmetry import (_automorphisms, _transversal, _twin_classes,
+                              generators)
 
 CROSS_CHECK_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -215,7 +218,7 @@ class TestScanWork:
     search work it does, pinned so a speedup can show it changed neither."""
 
     def test_one_pair_flow_bound_per_set_on_the_host(self, monkeypatch):
-        # one set per twin orbit is scanned, so one host bound per orbit
+        # one set per automorphism orbit is scanned, so one host bound per orbit
         import genconn.steiner as steiner
         host = lexicographic_product(family("path", 4), family("path", 3))
         seen = []
@@ -228,20 +231,20 @@ class TestScanWork:
         monkeypatch.setattr(steiner, "pair_flow_bound", counted)
         got = kappa3(host)
         assert got.exact and got.value == 3
-        orbits = {_orbit(host, S) for S in combinations(range(host.n), 3)}
-        assert len(orbits) == 84
+        orbits = _orbits(host, 3)
+        assert len(orbits) == 42
         # bounds on residual graphs inside the search are not counted
         assert sum(G is host for G in seen) == len(orbits)
 
     @pytest.mark.parametrize("name,host,want", [
         ("P4oP3", lexicographic_product(family("path", 4), family("path", 3)),
-         (3, True, (0, 2, 9), 729)),
-        # twin-free: every set is its own orbit
+         (3, True, (0, 2, 9), 367)),
+        # twin-free, but Aut(C4) x Aut(P3) leaves 21 orbits of its 220 sets
         ("C4xP3", cartesian_product(family("cycle", 4), family("path", 3)),
-         (2, True, (0, 2, 3), 1344)),
+         (2, True, (0, 2, 3), 152)),
         ("diamondoP2", lexicographic_product(
             Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), family("path", 2)),
-         (4, True, (0, 1, 6), 89)),
+         (4, True, (0, 1, 6), 55)),
         ("K4", family("complete", 4), (2, True, (0, 1, 2), 5)),
     ])
     def test_kappa3_work_is_pinned(self, name, host, want):
@@ -249,19 +252,29 @@ class TestScanWork:
         assert (got.value, got.exact, got.witness, got.nodes) == want, name
 
 
-def _twin_label(G):
-    """Each vertex's twin class, from neighbourhoods alone: the vertices that
-    share its open or its closed neighbourhood."""
-    opn = [frozenset(G.neighbors(v)) for v in range(G.n)]
-    closed = [opn[v] | {v} for v in range(G.n)]
-    return [frozenset(u for u in range(G.n) if opn[u] == opn[v] or closed[u] == closed[v])
-            for v in range(G.n)]
-
-
-def _orbit(G, S, label=None):
-    """S up to swapping twins: the multiset of its members' classes."""
-    label = label or _twin_label(G)
-    return tuple(sorted(min(label[s]) for s in S))
+def _orbits(G, k, gens=None):
+    """The k-sets of G in orbits of the group `gens` generates (by default
+    `generators(G)`), each orbit a sorted list, by closure under the
+    generators."""
+    gens = generators(G) if gens is None else gens
+    orbit_of = {}
+    orbits = []
+    for S in combinations(range(G.n), k):
+        if S in orbit_of:
+            continue
+        members = {S}
+        stack = [S]
+        while stack:
+            T = stack.pop()
+            for p in gens:
+                U = tuple(sorted(p[v] for v in T))
+                if U not in members:
+                    members.add(U)
+                    stack.append(U)
+        orbit = sorted(members)
+        orbits.append(orbit)
+        orbit_of.update((T, orbit) for T in orbit)
+    return orbits
 
 
 def _planted_twins(seed):
@@ -293,10 +306,28 @@ def _small_lex_hosts():
 TWIN_HOSTS = {"planted-%d" % seed: _planted_twins(seed)[0] for seed in range(6)}
 TWIN_HOSTS.update(_small_lex_hosts())
 
+def _product_hosts():
+    """Products whose factors add automorphisms that swap no twins, G box G
+    among them, and P3 box P3 with the right factor labelled otherwise,
+    which gets no coordinate swap.  Above 7 vertices the brute force takes
+    k = 3 only."""
+    P3, K1, K2, K3 = family("path", 3), family("complete", 1), family("complete", 2), \
+        family("complete", 3)
+    return {"K2xK2": cartesian_product(K2, K2), "K2xK3": cartesian_product(K2, K3),
+            "P3xK2": cartesian_product(P3, K2), "P3xP3": cartesian_product(P3, P3),
+            "P3xP3b": cartesian_product(P3, Graph(3, [(0, 2), (1, 2)])),
+            "C4xK2": cartesian_product(family("cycle", 4), K2),
+            "K1oP4": lexicographic_product(K1, family("path", 4)),
+            "K1oC5": lexicographic_product(K1, family("cycle", 5))}
+
+
+PRODUCT_HOSTS = _product_hosts()
+SCAN_HOSTS = {**TWIN_HOSTS, **PRODUCT_HOSTS}
+
 
 class TestTwinOrbitScan:
-    """The scan visits one terminal set per twin orbit.  Against the brute
-    force, and against the full scan of every set."""
+    """The scan visits one terminal set per automorphism orbit.  Against
+    the brute force, and against the full scan of every set."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_planted_twins_are_classes(self, seed):
@@ -305,12 +336,12 @@ class TestTwinOrbitScan:
         assert any(set(true) <= set(c) for c in classes)
         assert any(set(false) <= set(c) for c in classes)
 
-    @pytest.mark.parametrize("name", sorted(TWIN_HOSTS))
+    @pytest.mark.parametrize("name", sorted(SCAN_HOSTS))
     def test_against_brute_force_and_the_full_scan(self, name, monkeypatch):
         import genconn.steiner as steiner
-        G = TWIN_HOSTS[name]
+        import genconn.symmetry as symmetry
+        G = SCAN_HOSTS[name]
         edges = G.edges()
-        label = _twin_label(G)
         scanned = []
         original = steiner.pair_flow_bound
 
@@ -320,25 +351,124 @@ class TestTwinOrbitScan:
             return original(H, S, cutoff)
 
         monkeypatch.setattr(steiner, "pair_flow_bound", counted)
-        for k in (3, 4):
-            orbits = {}
-            for S in combinations(range(G.n), k):
-                orbits.setdefault(_orbit(G, S, label), []).append(S)
+        for k in (3, 4) if G.n <= brute.MINIMAL_TREES_MAX_ORDER else (3,):
+            orbits = _orbits(G, k)
             kappa = {S: brute.tree_packing_number(G.n, edges, S)
                      for S in combinations(range(G.n), k)}
-            # twin swaps keep kappa(S)
-            assert all(len({kappa[S] for S in members}) == 1 for members in orbits.values())
+            # the generated group keeps kappa(S)
+            assert all(len({kappa[S] for S in members}) == 1 for members in orbits)
             scanned.clear()
             got = generalized_connectivity(G, k)
             # the least member of every orbit, and nothing else
-            assert sorted(scanned) == sorted(members[0] for members in orbits.values())
+            assert sorted(scanned) == sorted(members[0] for members in orbits)
             assert got.exact and got.value == min(kappa.values()), k
-            assert got.witness == orbits[_orbit(G, got.witness, label)][0]
+            assert any(got.witness == members[0] for members in orbits)
             with monkeypatch.context() as m:
-                m.setattr(steiner, "_twin_classes", lambda G: [])
+                m.setattr(symmetry, "generators", lambda G: [])
                 full = generalized_connectivity(G, k)
             assert (full.value, full.exact, full.witness) == (got.value, True, got.witness)
             assert got.nodes <= full.nodes
+
+
+def _star_box_diamond():
+    return cartesian_product(family("star", 4),
+                             Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))
+
+
+def _keeps_edges(G, p):
+    edges = set(G.edges())
+    return {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
+
+
+class TestGenerators:
+    """Each generator is an automorphism of its host, and a factor's
+    generators generate its whole automorphism group."""
+
+    C4, K4, P4 = family("cycle", 4), family("complete", 4), family("path", 4)
+    HOSTS = {**SCAN_HOSTS,
+             "C4xC4": cartesian_product(C4, C4), "K4xK4": cartesian_product(K4, K4),
+             "P4oP3": lexicographic_product(P4, family("path", 3)),
+             "C4oC4": lexicographic_product(C4, C4),
+             "star4oP4": lexicographic_product(family("star", 4), P4),
+             "star4xdiamond": _star_box_diamond()}
+
+    @pytest.mark.parametrize("name", sorted(HOSTS))
+    def test_every_generator_maps_the_edges_onto_themselves(self, name):
+        G = self.HOSTS[name]
+        gens = generators(G)
+        for p in gens:
+            assert sorted(p) == list(range(G.n)), name
+            assert _keeps_edges(G, p), (name, p)
+        if isinstance(G, ProductGraph):
+            assert gens, name
+
+    def test_benchmark_cartesian_hosts(self):
+        for key, P in _benchmark_cartesian_hosts():
+            assert all(_keeps_edges(P, p) for p in generators(P)), key
+
+    def test_square_of_a_graph_gets_the_coordinate_swap(self):
+        P = PRODUCT_HOSTS["P3xP3"]
+        swap = tuple(h * 3 + g for g in range(3) for h in range(3))
+        assert swap in generators(P)
+        # same order, other labelled graph: no swap
+        Q = PRODUCT_HOSTS["P3xP3b"]
+        assert not any(all(p[g * 3 + h] == h * 3 + g for g in range(3) for h in range(3))
+                       for p in generators(Q))
+
+    @pytest.mark.parametrize("name,F,order", [
+        ("P4", family("path", 4), 2), ("C5", family("cycle", 5), 10),
+        ("K4", family("complete", 4), 24), ("star4", family("star", 4), 6),
+        ("diamond", Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), 4),
+        ("K7", family("complete", 7), 5040), ("E3", Graph(3), 6),
+    ])
+    def test_factor_group_against_every_permutation(self, name, F, order):
+        every = {p for p in permutations(range(F.n)) if _keeps_edges(F, p)}
+        assert set(_automorphisms(F)) == every and len(every) == order
+        # the transversal generates the group: close the identity under it
+        gens = _transversal(F)
+        assert len(gens) <= F.n * (F.n - 1) // 2
+        group = {tuple(range(F.n))}
+        stack = list(group)
+        while stack:
+            q = stack.pop()
+            for p in gens:
+                r = tuple(p[q[v]] for v in range(F.n))
+                if r not in group:
+                    group.add(r)
+                    stack.append(r)
+        assert group == every, name
+
+    @pytest.mark.parametrize("name", ["P4oP3", "C4oC4", "star4oP4"])
+    def test_one_fiber_per_base_orbit_gives_every_fiber(self, name):
+        # Aut(H) inside every fiber, not only in the first of each orbit of
+        # Aut(G), leaves the orbits of the triples as they are
+        G = self.HOSTS[name]
+        m = G.right.n
+        cells = [divmod(v, m) for v in range(G.n)]
+        every = [tuple(g * m + (b[h] if g == g0 else h) for g, h in cells)
+                 for b in _automorphisms(G.right) for g0 in range(G.left.n)]
+        assert _orbits(G, 3) == _orbits(G, 3, generators(G) + every)
+
+    def test_factors_above_seven_vertices_add_none(self):
+        C8 = family("cycle", 8)
+        assert _transversal(C8) == []
+        assert generators(cartesian_product(C8, family("complete", 1))) == []
+
+    def test_atlas_host_settles_exact(self):
+        # star:4 box diamond: a budget-limited 2 at (3, 13, 15) when every
+        # set was scanned; (3, 13, 15) is in the orbit of (0, 4, 5), whose
+        # three trees the group maps onto three for (3, 13, 15)
+        P = _star_box_diamond()
+        got = kappa3(P, budget=2_000_000)
+        assert (got.value, got.exact) == (3, True)
+        pack = max_tree_packing(P, (0, 4, 5), budget=2_000_000, cap=3)
+        assert pack.size == 3 and pack.hit_cap
+        a, b = (0, 3, 2, 1), (3, 1, 2, 0)        # leaf 1 -> 3, diamond 0 <-> 3
+        p = [a[g] * 4 + b[h] for g in range(4) for h in range(4)]
+        assert _keeps_edges(P, p)
+        assert sorted(p[v] for v in (0, 4, 5)) == [3, 13, 15]
+        moved = [[(p[u], p[v]) for u, v in t.edges] for t in pack.trees]
+        assert verify_packing(P, (3, 13, 15), moved)
 
 
 def _benchmark_cartesian_hosts():
