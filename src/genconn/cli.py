@@ -29,7 +29,7 @@ from .certificates import (CertificateError, certificate_set, dump_certificate,
                            vertex_name)
 from .connectivity import vertex_connectivity
 from .construct import ConstructionError, construct_general_lex
-from .graphs import (Graph, family, is_complete, is_connected, is_tree,
+from .graphs import (Graph, family, is_complete, is_connected,
                      lexicographic_product, min_degree, parse_edge_list)
 from .steiner import DEFAULT_BUDGET, generalized_connectivity, kappa3
 
@@ -206,13 +206,6 @@ def cmd_construct(args) -> int:
                 seen.append(S)
         triples = seen
 
-    # one kappa_3(G) for every triple; a tree base needs none, and an
-    # inexact value is left to each family, which notes it
-    ell = None
-    if not is_tree(G):
-        base_k3 = kappa3(G, budget=args.budget)
-        ell = base_k3.value if base_k3.exact else None
-
     docs = []
     failed = 0
     inexact = False
@@ -220,7 +213,7 @@ def cmd_construct(args) -> int:
     trees_total = 0
     for S in triples:
         try:
-            res = construct_general_lex(P, S, ell=ell, budget=args.budget)
+            res = construct_general_lex(P, S, budget=args.budget)
         except ConstructionError as exc:
             failed += 1
             print("terminals %s: FAILED: %s" % (_terminal_text(P, S), exc))

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .connectivity import disjoint_paths
 from .graphs import ProductGraph, is_path_graph, is_tree
@@ -349,6 +350,15 @@ def construct_tree_lex(P: ProductGraph, S) -> ConstructionResult:
     return construct_general_lex(P, S)
 
 
+@lru_cache(maxsize=8)
+def _base_kappa3(G, budget):
+    """`(value, exact)` of kappa_3(G), once for all the triples of a base.
+    Graphs are immutable and hash by identity; the cache holds its keys,
+    so an id cannot be reused while its entry lives."""
+    got = kappa3(G, budget=budget)
+    return got.value, got.exact
+
+
 def construct_general_lex(P: ProductGraph, S, ell=None,
                           budget: int = DEFAULT_BUDGET) -> ConstructionResult:
     """At least ell * m verified trees for a connected base graph, ell
@@ -370,9 +380,8 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
     if ell is None and is_tree(G):
         ell = 1
     elif ell is None:
-        base_k3 = kappa3(G, budget=budget)
-        ell = base_k3.value
-        if not base_k3.exact:
+        ell, base_exact = _base_kappa3(G, budget)
+        if not base_exact:
             notes.append("base kappa_3 budget exhausted; using lower bound %d" % ell)
             exact = False
     if ell < 1:

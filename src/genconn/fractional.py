@@ -8,8 +8,8 @@ x_T over the S-trees T subject to at most one unit of each such element.
 and `min_weight_tree`, the Dreyfus-Wagner dynamic program (Networks 1,
 1971), prices it exactly.
 
-`steiner.max_tree_packing` imports this module the first time a greedy
-misses, so `import genconn` does not compile it.
+`steiner.max_tree_packing` imports this module the first time it asks
+for the bound, so `import genconn` does not compile it.
 """
 
 from __future__ import annotations

@@ -43,9 +43,10 @@ packing are disjoint in both, so p of them weigh at least p * W(w) and at
 most sum(w), and kappa(S) <= floor(sum(w) / W(w)) (weak duality).  A
 least-weight tree is minimal, because w >= 0.  `fractional.fractional_bound`
 picks w by column generation and prices it exactly, with a Dreyfus-Wagner
-DP in integers.  `max_tree_packing` computes it at most once per set, after
-a greedy misses, and only for sets of up to `_LP_MAX_TERMINALS` terminals;
-when it is below the size sought, that size fails without a search.
+DP in integers.  `max_tree_packing` computes it at most once per set, and
+only for sets of up to `_LP_MAX_TERMINALS` terminals: when a greedy round
+misses, and on a capped call only once that round's back-off fails too.
+When it is below the size sought, that size fails without a search.
 `dangerous_limit` only removes trees, so the bound holds under it too.
 
 The budget counts search steps, each step of the leg DFS among them, and
@@ -302,7 +303,7 @@ class _Search:
         self._reset()
         return self._extend([], None, target)
 
-    def greedy(self, target, settled=None):
+    def greedy(self, target, settled=None, backoff_first=False):
         """Repeated residual BFS: each round takes the tree BFS yields and
         removes it.  Sound whenever it succeeds; no completeness claim, the
         caller falls back to the full search when it returns None.
@@ -313,9 +314,16 @@ class _Search:
         tight packing usually needs them for the closing trees, after the
         plain vertices run out.  A near miss is handed to the full search
         to finish: the trees BFS gets wrong are the closing ones, and the
-        residual left for the search is small.  `settled(target)`, when
-        given, runs after a round misses and before its back-off; True means
-        no packing of that size exists, and the greedy gives up at once."""
+        residual left for the search is small.
+
+        `settled(target)`, when given, asks the fractional bound; True means
+        no packing of that size exists, and the greedy gives up at once.  It
+        runs after a round misses, before its back-off, or with
+        `backoff_first` after the round's back-off fails.  Either place
+        changes no result, only the nodes spent and where a budget runs
+        out: when the bound is below target, every later round and back-off
+        would fail too, and when it is not, the rounds go on exactly as
+        without it."""
         for attempt in range(_GREEDY_ROUNDS):
             rng = Random(0x51ED * (attempt + target)) if attempt else None
             root = self.S[attempt % len(self.S)]
@@ -333,7 +341,7 @@ class _Search:
                 chosen.append(tree)
             if len(chosen) == target:
                 return chosen
-            if settled is not None and settled(target):
+            if settled is not None and not backoff_first and settled(target):
                 return None
             if target - len(chosen) <= 2:
                 for back in range(1, min(3, len(chosen)) + 1):
@@ -343,6 +351,8 @@ class _Search:
                     done = self._extend(chosen[:len(chosen) - back], None, target)
                     if done is not None:
                         return done
+                if settled is not None and settled(target):
+                    return None
         return None
 
     def _extend(self, chosen, last_key, target):
@@ -586,15 +596,18 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
         # try packings of size 1, 2, ... up to the bound: the first size that
         # fails settles the value; running out of budget leaves it open.  An
         # uncapped call asks the fractional bound as soon as a greedy round
-        # misses, before its back-off reruns the search; a capped one only
-        # once the whole greedy misses, as the back-off settles most capped
-        # sets more cheaply
+        # misses, before its back-off reruns the search; a capped one after
+        # the first back-off that fails, as a back-off settles most capped
+        # sets more cheaply than the bound.  Asking earlier than after the
+        # whole greedy changes no size and no tree: a bound below t skips
+        # only rounds that cannot succeed.  It can only lower `ub`, so a
+        # packing that hits its cap is flagged exact more often
         best = []
         exact = True
         hit_cap = False
         for t in range(1, ub + 1):
             try:
-                found = search.greedy(t, settled if cap is None else None)
+                found = search.greedy(t, settled, cap is not None)
                 if found is None and not settled(t):
                     found = search.find(t)
             except _OutOfBudget:

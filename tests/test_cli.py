@@ -142,6 +142,26 @@ class TestConstruct:
         assert run(["construct", "--lex", "cycle:6", "complete:2", "--all-triples"]) == 0
         assert len(calls) == 1
 
+    def test_inexact_base_kappa3_is_computed_once_per_run(self, tmp_path, monkeypatch):
+        # the diamond's kappa_3 runs out of a budget of 5: every family
+        # still notes it, from one computation, with the same bytes
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kappa3(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "kappa3", counting)
+        monkeypatch.setattr(construct, "kappa3", counting)
+        diamond = tmp_path / "diamond.txt"
+        diamond.write_text("4\n0 1\n0 2\n1 2\n1 3\n2 3\n")
+        out = tmp_path / "fam.json"
+        assert run(["construct", "--lex", str(diamond), "complete:2", "--all-triples",
+                    "--budget", "5", "--output", str(out)]) == 3
+        assert len(calls) == 1
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "3d7f2bdb69bcb995ec6e5dd2c20e56381a09563337ef274336c0f15aed732620")
+
     def test_random_triples_are_seeded(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["construct", "--lex", "cycle:4", "complete:2",

@@ -124,6 +124,13 @@ class TestEveryK:
                 assert pack.exact and pack.verified
                 values.append(brute.tree_packing_number(G.n, edges, S))
                 assert pack.size == values[-1], (k, S)
+                # the capped path: a cap at the value is hit, one above is not
+                if values[-1]:
+                    capped = max_tree_packing(G, S, cap=values[-1])
+                    assert (capped.size, capped.hit_cap) == (values[-1], True), (k, S)
+                above = max_tree_packing(G, S, cap=values[-1] + 1)
+                assert ((above.size, above.exact, above.hit_cap)
+                        == (values[-1], True, False)), (k, S)
             got = generalized_connectivity(G, k)
             assert got.exact
             assert got.value == brute.generalized_connectivity(G.n, edges, k) == min(values)
@@ -246,10 +253,22 @@ class TestScanWork:
             Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), family("path", 2)),
          (4, True, (0, 1, 6), 55)),
         ("K4", family("complete", 4), (2, True, (0, 1, 2), 5)),
+        # the capped sets ask the fractional bound once their first
+        # back-off fails, not after all the greedy rounds (892 nodes before)
+        ("C5oK3", lexicographic_product(family("cycle", 5), family("complete", 3)),
+         (5, True, (0, 3, 9), 252)),
     ])
     def test_kappa3_work_is_pinned(self, name, host, want):
         got = kappa3(host)
         assert (got.value, got.exact, got.witness, got.nodes) == want, name
+
+    def test_kappa4_work_is_pinned(self):
+        # the capped set (0, 1, 2, 6) fails its back-offs, then the
+        # fractional bound, 3 below the cap 4, settles it (18,196 nodes
+        # when the bound waited for all the greedy rounds)
+        host = lexicographic_product(family("cycle", 4), family("complete", 2))
+        got = generalized_connectivity(host, 4)
+        assert (got.value, got.exact, got.witness, got.nodes) == (3, True, (0, 1, 2, 6), 416)
 
 
 def _orbits(G, k, gens=None):
