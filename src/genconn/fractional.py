@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .graphs import Graph
+from .graphs import Graph, root_paths
 
 # the fractional bound's fixed point: duals are rounded to multiples of
 # 1/_SCALE before the exact pricing; _EPS is the simplex's float tolerance
@@ -99,15 +99,7 @@ def min_weight_tree(G: Graph, S, vw, ew, tick):
             if v not in parent:
                 parent[v] = u
                 queue.append(v)
-    edges = set()
-    verts = {root}
-    for v in S:
-        while v not in verts:
-            u = parent[v]
-            edges.add((u, v) if u < v else (v, u))
-            verts.add(v)
-            v = u
-    return cost[full][root], tuple(sorted(edges))
+    return cost[full][root], root_paths(parent, root, S)
 
 
 def fractional_bound(G: Graph, S, target, trees, tick) -> int:

@@ -217,6 +217,23 @@ def connected_component(G: Graph, start: int) -> set:
     return seen
 
 
+def root_paths(parent: dict, root: int, S) -> tuple | None:
+    """The union of the paths from each vertex of S to `root` in a tree
+    given by `parent` (root's entry None), as sorted edges (u, v), u < v;
+    None when a vertex of S is not in the tree.  Its leaves lie in S."""
+    edges = []
+    verts = {root}
+    for v in S:
+        if v not in parent:
+            return None
+        while v not in verts:
+            u = parent[v]
+            edges.append((u, v) if u < v else (v, u))
+            verts.add(v)
+            v = u
+    return tuple(sorted(edges))
+
+
 def is_tree(G: Graph) -> bool:
     return G.n >= 1 and G.edge_count == G.n - 1 and is_connected(G)
 

@@ -44,8 +44,8 @@ most sum(w), and kappa(S) <= floor(sum(w) / W(w)) (weak duality).  A
 least-weight tree is minimal, because w >= 0.  `fractional.fractional_bound`
 picks w by column generation and prices it exactly, with a Dreyfus-Wagner
 DP in integers.  `max_tree_packing` computes it at most once per set, and
-only for sets of up to `_LP_MAX_TERMINALS` terminals: when a greedy round
-misses, and on a capped call only once that round's back-off fails too.
+only for sets of up to `_LP_MAX_TERMINALS` terminals: when a greedy pass
+misses, and on a capped call only once that pass's back-off fails too.
 When it is below the size sought, that size fails without a search.
 `dangerous_limit` only removes trees, so the bound holds under it too.
 
@@ -60,17 +60,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from random import Random
 
 from .connectivity import capped_flow_value, disjoint_paths
-from .graphs import Graph, connected_component, is_connected
+from .graphs import Graph, connected_component, is_connected, root_paths
 
 DEFAULT_BUDGET = 10_000_000
 
 _BIG = 1 << 30
-
-# seeded restarts of the greedy before the full search takes over
-_GREEDY_ROUNDS = 48
 
 
 @dataclass(frozen=True)
@@ -237,7 +233,7 @@ def _count_bound(G: Graph, S, component) -> int:
 # the largest terminal set the fractional bound is computed for: one
 # pricing takes about 3^(k-1)/2 subset merges, 966 at k = 8; from about 9
 # terminals on the pricing rounds cost more nodes than the search they save
-# (12 evenly spaced terminals of C24: 13,864 nodes without the bound,
+# (12 evenly spaced terminals of C24: 3,676 nodes without the bound,
 # 1,038,343 with it)
 _LP_MAX_TERMINALS = 8
 
@@ -303,45 +299,41 @@ class _Search:
         self._reset()
         return self._extend([], None, target)
 
-    def greedy(self, target, settled=None, backoff_first=False):
-        """Repeated residual BFS: each round takes the tree BFS yields and
-        removes it.  Sound whenever it succeeds; no completeness claim, the
-        caller falls back to the full search when it returns None.
+    def greedy(self, target, settled, backoff_first):
+        """Residual BFS, one pass per terminal as the BFS root: each pass
+        takes the tree BFS yields and removes it, until it has `target`.
+        Sound whenever it succeeds; no completeness claim, the caller falls
+        back to the full search when it returns None.
 
-        Extra rounds retry with seeded shuffles of the BFS vertex order and
-        a rotated root, so results stay deterministic.  Each tree is sought
-        without terminal-terminal edges first: those edges are scarce and a
-        tight packing usually needs them for the closing trees, after the
-        plain vertices run out.  A near miss is handed to the full search
-        to finish: the trees BFS gets wrong are the closing ones, and the
-        residual left for the search is small.
+        Each tree is sought without terminal-terminal edges first: those
+        edges are scarce and a tight packing usually needs them for the
+        closing trees, after the plain vertices run out.  A near miss is
+        handed to the full search to finish: the trees BFS gets wrong are
+        the closing ones, and the residual left for the search is small.
 
-        `settled(target)`, when given, asks the fractional bound; True means
-        no packing of that size exists, and the greedy gives up at once.  It
-        runs after a round misses, before its back-off, or with
-        `backoff_first` after the round's back-off fails.  Either place
-        changes no result, only the nodes spent and where a budget runs
-        out: when the bound is below target, every later round and back-off
-        would fail too, and when it is not, the rounds go on exactly as
-        without it."""
-        for attempt in range(_GREEDY_ROUNDS):
-            rng = Random(0x51ED * (attempt + target)) if attempt else None
-            root = self.S[attempt % len(self.S)]
+        `settled(target)` asks the fractional bound; True means no packing
+        of that size exists, and the greedy gives up at once.  It runs after
+        a pass misses, before its back-off, or with `backoff_first` after
+        the pass's back-off fails.  Either place changes no result, only the
+        nodes spent and where a budget runs out: when the bound is below
+        target, every later pass and back-off would fail too, and when it is
+        not, the passes go on exactly as without it."""
+        for root in self.S:
             self._reset()
             chosen = []
             for _ in range(target):
-                tree = self._common_star(rng)
+                tree = self._common_star()
                 if tree is None:
-                    tree = self._last_tree(rng=rng, root=root, plain=True)
+                    tree = self._last_tree(root=root, plain=True)
                 if tree is None:
-                    tree = self._last_tree(rng=rng, root=root)
+                    tree = self._last_tree(root=root)
                 if tree is None:
                     break
                 self._apply(tree)
                 chosen.append(tree)
             if len(chosen) == target:
                 return chosen
-            if settled is not None and not backoff_first and settled(target):
+            if not backoff_first and settled(target):
                 return None
             if target - len(chosen) <= 2:
                 for back in range(1, min(3, len(chosen)) + 1):
@@ -351,7 +343,7 @@ class _Search:
                     done = self._extend(chosen[:len(chosen) - back], None, target)
                     if done is not None:
                         return done
-                if settled is not None and settled(target):
+                if settled(target):
                     return None
         return None
 
@@ -387,21 +379,18 @@ class _Search:
             self._undo(cand)
         return None
 
-    def _common_star(self, rng=None):
+    def _common_star(self):
         """Cheapest tree there is: one unused common neighbor of all the
         terminals.  Consumes a single vertex and one edge per terminal, so
         the greedy loop prefers it over anything BFS can produce."""
         self.tick()
-        order = sorted(self.avail)
-        if rng is not None:
-            rng.shuffle(order)
-        for v in order:
+        for v in sorted(self.avail):
             if all(self.G.has_edge(v, s) for s in self.S):
                 edges = tuple(sorted((v, s) if v < s else (s, v) for s in self.S))
                 return _Candidate(edges, self.term_set)
         return None
 
-    def _last_tree(self, rng=None, root=None, plain=False):
+    def _last_tree(self, root=None, plain=False):
         """BFS the unused vertices and free terminal edges for one more
         S-tree.  Union of root paths; its leaves are all terminals.
         `plain` forbids terminal-terminal edges outright."""
@@ -416,11 +405,7 @@ class _Search:
             nxt = []
             for u in queue:
                 u_term = u in self.term_set
-                nbrs = self.G.neighbors(u)
-                if rng is not None:
-                    nbrs = list(nbrs)
-                    rng.shuffle(nbrs)
-                for v in nbrs:
+                for v in self.G.neighbors(u):
                     if v in parent or v not in live:
                         continue
                     if u_term and v in self.term_set:
@@ -430,18 +415,8 @@ class _Search:
                     parent[v] = u
                     nxt.append(v)
             queue = nxt
-        edges = set()
-        verts = {root}
-        for t in self.S:
-            if t not in parent:
-                return None
-            v = t
-            while v not in verts:
-                u = parent[v]
-                edges.add((u, v) if u < v else (v, u))
-                verts.add(v)
-                v = u
-        return _Candidate(tuple(sorted(edges)), self.term_set)
+        edges = root_paths(parent, root, self.S)
+        return None if edges is None else _Candidate(edges, self.term_set)
 
     def _free_s_edges(self):
         """The terminal-terminal edges a new tree may take: a terminal edge
@@ -595,12 +570,12 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
 
         # try packings of size 1, 2, ... up to the bound: the first size that
         # fails settles the value; running out of budget leaves it open.  An
-        # uncapped call asks the fractional bound as soon as a greedy round
+        # uncapped call asks the fractional bound as soon as a greedy pass
         # misses, before its back-off reruns the search; a capped one after
         # the first back-off that fails, as a back-off settles most capped
         # sets more cheaply than the bound.  Asking earlier than after the
         # whole greedy changes no size and no tree: a bound below t skips
-        # only rounds that cannot succeed.  It can only lower `ub`, so a
+        # only passes that cannot succeed.  It can only lower `ub`, so a
         # packing that hits its cap is flagged exact more often
         best = []
         exact = True

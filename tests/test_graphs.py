@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from genconn.graphs import (Graph, ProductGraph, cartesian_product, family,
                             format_edge_list, is_complete, is_connected,
                             is_path_graph, is_tree, lexicographic_product,
-                            min_degree, parse_edge_list)
+                            min_degree, parse_edge_list, root_paths)
 
 PRODUCT_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -139,3 +139,10 @@ class TestTreeHelpers:
     def test_min_degree(self):
         assert min_degree(family("path", 4)) == 1
         assert min_degree(family("cycle", 6)) == 2
+
+    def test_root_paths(self):
+        # the BFS tree of P5 from 2: 2-1-0 and 2-3-4
+        parent = {2: None, 1: 2, 3: 2, 0: 1, 4: 3}
+        assert root_paths(parent, 2, (0, 3)) == ((0, 1), (1, 2), (2, 3))
+        assert root_paths(parent, 2, (2, 4)) == ((2, 3), (3, 4))
+        assert root_paths(parent, 2, (0, 5)) is None

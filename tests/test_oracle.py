@@ -254,7 +254,7 @@ class TestScanWork:
          (4, True, (0, 1, 6), 55)),
         ("K4", family("complete", 4), (2, True, (0, 1, 2), 5)),
         # the capped sets ask the fractional bound once their first
-        # back-off fails, not after all the greedy rounds (892 nodes before)
+        # back-off fails, not after all the greedy passes (892 nodes before)
         ("C5oK3", lexicographic_product(family("cycle", 5), family("complete", 3)),
          (5, True, (0, 3, 9), 252)),
     ])
@@ -265,10 +265,17 @@ class TestScanWork:
     def test_kappa4_work_is_pinned(self):
         # the capped set (0, 1, 2, 6) fails its back-offs, then the
         # fractional bound, 3 below the cap 4, settles it (18,196 nodes
-        # when the bound waited for all the greedy rounds)
+        # when the bound waited for all the greedy passes)
         host = lexicographic_product(family("cycle", 4), family("complete", 2))
         got = generalized_connectivity(host, 4)
         assert (got.value, got.exact, got.witness, got.nodes) == (3, True, (0, 1, 2, 6), 416)
+
+    def test_packing_work_is_pinned(self):
+        # one greedy pass per terminal as the BFS root (18,256 nodes when
+        # the greedy made 48 passes with shuffled BFS orders)
+        host = lexicographic_product(family("cycle", 4), family("complete", 2))
+        pack = max_tree_packing(host, (0, 2, 5, 6))
+        assert (pack.size, pack.exact, pack.nodes) == (4, True, 4341)
 
 
 def _orbits(G, k, gens=None):
@@ -621,9 +628,10 @@ class TestFractionalBound:
         assert time.perf_counter() - start < 1.0
         assert pack.nodes <= 1001 and pack.verified
         # above 8 terminals the bound is not asked: the search settles this
-        # set in 13,864 nodes, where the pricing rounds took over a million
+        # set in 3,676 nodes, where the pricing rounds took over a million
+        # (13,864 when the greedy reshuffled its BFS order 48 times)
         pack = max_tree_packing(G, S)
-        assert (pack.size, pack.exact, pack.nodes) == (1, True, 13864)
+        assert (pack.size, pack.exact, pack.nodes) == (1, True, 3676)
 
 
 class TestSearchControls:
