@@ -102,6 +102,21 @@ def capped_flow_value(G: Graph, s: int, t: int, caps=None, limit=None) -> int:
     return _SplitFlowNet(G, s, t, caps, limit).value
 
 
+def local_connectivity(G: Graph, x: int, y: int) -> int:
+    """kappa(x, y): the most x-y paths that share no vertex but x and y, a
+    direct edge counting as one.  Each path leaves x and enters y by its own
+    edge, so the flow stops at min(deg x, deg y).  Computed once per pair
+    and kept in the graph's `_pair_kappa` slot."""
+    key = (x, y) if x < y else (y, x)
+    memo = G._pair_kappa
+    if memo is None:
+        memo = G._pair_kappa = {}
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = capped_flow_value(G, x, y, limit=min(G.degree(x), G.degree(y)))
+    return value
+
+
 def disjoint_paths(G: Graph, x: int, y: int, want=None) -> list:
     """Maximum-cardinality (capped at `want`) internally disjoint x-y paths.
 

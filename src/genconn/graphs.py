@@ -9,6 +9,10 @@ Conventions used across the package:
   arc layout of its vertex-split flow network (see `connectivity`).  It is
   derived data, filled lazily and never changed after, so the graph stays
   immutable; two threads that fill it at once build equal layouts.
+  The `_pair_kappa` slot beside it, None until the first
+  `connectivity.local_connectivity` on the graph, maps a vertex pair x < y
+  to its local connectivity.  It is derived the same way: each entry is
+  written once, and two threads that write one write the same value.
 - A product vertex (g, h) is stored flat as g*m + h where m is the order of
   the right factor, so factor coordinates are recoverable by divmod and fiber
   membership tests are O(1).
@@ -29,7 +33,7 @@ class Graph:
     as sorted tuples (deterministic iteration).
     """
 
-    __slots__ = ("n", "_adj", "_nbrs", "_net")
+    __slots__ = ("n", "_adj", "_nbrs", "_net", "_pair_kappa")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -46,6 +50,7 @@ class Graph:
         self._adj = adj
         self._nbrs = tuple(tuple(sorted(s)) for s in adj)
         self._net = None
+        self._pair_kappa = None
 
     def neighbors(self, u: int) -> tuple:
         return self._nbrs[u]
@@ -104,10 +109,18 @@ class ProductGraph(Graph):
         return "ProductGraph(kind=%s, %d x %d)" % (self.kind, self.left.n, self.right.n)
 
 
+# the largest vertex count an edge list may declare, checked at the header
+# before anything of that size is allocated.  A graph keeps about 240 bytes
+# per vertex before any edge (2.3 MiB at this order, 23 GiB at 10^8), and
+# the exact oracle settles hosts of tens of vertices, far below this order
+MAX_ORDER = 10_000
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format (first line n, then "u v" lines).
 
-    Errors name the offending 1-based line.
+    Errors name the offending 1-based line.  A vertex count above
+    `MAX_ORDER` fails at its line.
     """
     lines = text.splitlines()
     idx = 0
@@ -125,6 +138,9 @@ def parse_edge_list(text: str) -> Graph:
                 n = int(parts[0])
             except ValueError:
                 raise ValueError("line %d: bad vertex count %r" % (idx, raw))
+            if n > MAX_ORDER:
+                raise ValueError("line %d: vertex count %d is above the limit of %d"
+                                 % (idx, n, MAX_ORDER))
             continue
         if len(parts) != 2:
             raise ValueError("line %d: expected 'u v', got %r" % (idx, raw))

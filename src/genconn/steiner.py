@@ -34,7 +34,10 @@ such an edge (`_Search._free_s_edges`).  Prunes, all sound:
   third terminal z burns two of z's edges; so a max flow with unit caps on
   non-terminals and floor(deg(z)/2) caps on other terminals bounds the
   remaining packing size.  The search applies `pair_flow_bound`, the same
-  bound it uses on the whole host, to the graph of the residual edges.
+  bound it uses on the whole host, to the graph of the residual edges.  A
+  pair whose local connectivity, computed once per graph, reaches
+  min(deg x, deg y) has that value with no capped flow of its own; the
+  docstring of `pair_flow_bound` gives the argument.
 
 One more prune settles a whole set, the fractional packing bound of Jain,
 Mahdian and Salavatipour: for weights w >= 0 on the non-terminal vertices
@@ -61,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .connectivity import capped_flow_value, disjoint_paths
+from .connectivity import capped_flow_value, disjoint_paths, local_connectivity
 from .graphs import Graph, connected_component, is_connected, root_paths
 
 DEFAULT_BUDGET = 10_000_000
@@ -197,14 +200,27 @@ def pair_flow_bound(G: Graph, S, cutoff: int = 1) -> int:
     """Sound upper bound on the packing size; see the module docstring.
 
     Returns as soon as the bound drops below `cutoff`; the default stops
-    only at 0."""
+    only at 0.
+
+    A pair's capped flow is read off the local connectivity kappa(x, y),
+    kept per graph, when kappa(x, y) = min(deg x, deg y); then the capped
+    flow equals that minimum.  A max flow of kappa(x, y) splits into that
+    many paths, and a path passes only vertices of degree 2 or more, each
+    at most once; as floor(deg z / 2) >= 1 on those, the paths fit the caps
+    of the other terminals too, so the capped flow is at least kappa(x, y).
+    Each of its units leaves x and enters y by its own edge, so it is at
+    most min(deg x, deg y).  Any other pair runs the capped flow itself."""
     S = sorted(S)
     best = _BIG
     for i in range(len(S)):
         for j in range(i + 1, len(S)):
             x, y = S[i], S[j]
-            caps = {z: G.degree(z) // 2 for z in S if z != x and z != y}
-            best = min(best, capped_flow_value(G, x, y, caps, limit=best))
+            most = min(G.degree(x), G.degree(y))
+            if local_connectivity(G, x, y) == most:
+                best = min(best, most)
+            else:
+                caps = {z: G.degree(z) // 2 for z in S if z != x and z != y}
+                best = min(best, capped_flow_value(G, x, y, caps, limit=best))
             if best < cutoff:
                 return best
     return best

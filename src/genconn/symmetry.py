@@ -23,6 +23,14 @@ time, so each rests on the argument given here:
   b to fiber a(g0).  Together these generate Aut(H) wr Aut(G) (Sabidussi,
   "The composition of graphs", Duke Math. J. 1959).
 
+The twin transpositions generate a normal subgroup, the permutations
+inside each twin class: an automorphism maps twin classes onto twin
+classes.  So each orbit is a union of its orbits, and the closure that
+finds the orbits runs over their quotient: it walks only the sets that hold
+the least members of each twin class they meet, and closes each orbit over
+the other generators, each acting as a permutation that keeps such sets
+(`_class_quotient`).  On a host without twins it closes over every k-set.
+
 A factor's automorphisms are found by brute force over the permutations of
 its vertices, for factors of at most `_MAX_FACTOR_ORDER` vertices; a larger
 factor adds none.  The group found is cut down to one transversal of its
@@ -123,11 +131,17 @@ def _least_members(n, k, gens):
     generates, in `combinations` order.
 
     `combinations` yields the k-sets in lexicographic order, so the first
-    set met of an orbit is its least member.  That set is yielded and its
-    orbit closed over the generators; every other member is skipped when
-    met, and forgotten then, as each set is met once."""
+    set met of an orbit is its least member.  Only class-least sets are
+    met (see `_class_quotient`): on them the group acts through the
+    quotient generators, and an orbit's least member is class-least.  The
+    first set met is yielded and its orbit closed over the quotient
+    generators; every other member is skipped when met, and forgotten then,
+    as each set is met once."""
+    prev, gens = _class_quotient(n, gens)
     pending = set()
     for S in combinations(range(n), k):
+        if prev and any(prev.get(v, v) not in S for v in S):
+            continue
         if S in pending:
             pending.discard(S)
             continue
@@ -143,3 +157,44 @@ def _least_members(n, k, gens):
                     stack.append(U)
         orbit.discard(S)
         pending |= orbit
+
+
+def _class_quotient(n, gens):
+    """The group `gens` generates, acting on class-least sets.
+
+    The generators that swap two points, the twin transpositions of
+    `generators`, join the points into classes, and the group holds every
+    permutation inside a class.  When each other generator p maps classes
+    onto classes, as an automorphism maps twin classes, these permutations
+    form a normal subgroup, so every orbit is a union of its orbits, the
+    class orbits.  Each class orbit has one class-least member: the set
+    that holds the least j members of each class it meets j times.
+    Swapping a member for a lower one of its class lowers a set, so an
+    orbit's least member is class-least.  On class-least sets, p acts as the permutation q that
+    sends the r-th member of a class to the r-th member of its image class:
+    q(T) is the class-least member of the class orbit of p(T).
+
+    Returns `prev`, each class member's next-lower member of its class (a
+    set T is class-least when it holds prev[v] for each v in it), and the
+    q of the generators that are no swaps.  On a host without twins, or
+    when some p splits a class, `prev` is empty and `gens` come back as
+    they are."""
+    cell = {v: (v,) for v in range(n)}      # each point's class, sorted
+    others = []
+    for p in gens:
+        moved = [v for v in range(n) if p[v] != v]
+        if len(moved) != 2:
+            others.append(p)
+        elif cell[moved[0]] != cell[moved[1]]:
+            merged = tuple(sorted(cell[moved[0]] + cell[moved[1]]))
+            cell.update((v, merged) for v in merged)
+    if len(others) == len(gens):
+        return {}, gens
+    quotient = []
+    for p in others:
+        if any(len(cell[p[v]]) != len(cell[v]) or cell[p[v]] != cell[p[cell[v][0]]]
+               for v in range(n)):
+            return {}, gens
+        quotient.append(tuple(cell[p[v]][cell[v].index(v)] for v in range(n)))
+    prev = {c[r]: c[r - 1] for c in set(cell.values()) for r in range(1, len(c))}
+    return prev, quotient

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from genconn import cli, construct
+from genconn import cli, construct, graphs
 from genconn.cli import main
 from genconn.graphs import (cartesian_product, family, format_edge_list,
                             lexicographic_product)
@@ -75,6 +75,34 @@ class TestKappa:
         assert run(["kappa", "--family", "triangle:4"]) == 4
         assert run(["kappa", "--edges", str(tmp_path / "missing.txt")]) == 4
         assert run(["kappa", "--family", "path:5", "--k", "1"]) == 4
+
+    def test_huge_vertex_count_exits_4_before_building(self, tmp_path, capsys, monkeypatch):
+        # no Graph may be built: the header alone fails, with one error line
+        def boom(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(graphs, "Graph", boom)
+        f = tmp_path / "huge.txt"
+        f.write_text("100000000\n0 1\n")
+        assert run(["kappa", "--edges", str(f)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "above the limit of %d" % graphs.MAX_ORDER in err[0]
+        f.write_text("%d\n" % (graphs.MAX_ORDER + 1))
+        assert run(["kappa", "--edges", str(f)]) == 4
+
+    @pytest.mark.parametrize("host,digest", [
+        (lexicographic_product(family("cycle", 4), family("cycle", 4)),
+         "cb0f10d22371f96e95859be4307ac15e0afbce0a00b928339705657b77fd53b8"),
+        (cartesian_product(family("cycle", 4), family("path", 3)),
+         "9df4fae4ad8978ca6d859e0c10cf020c062f999420a1c81635ec1c946c373e0e"),
+    ], ids=["C4oC4", "C4xP3"])
+    def test_witness_certificate_bytes_are_pinned(self, tmp_path, host, digest):
+        # a faster scan keeps the witness set, its trees and the node count
+        f = tmp_path / "host.txt"
+        f.write_text(format_edge_list(host))
+        out = tmp_path / "w.json"
+        assert run(["kappa", "--edges", str(f), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestConstruct:

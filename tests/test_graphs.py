@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genconn.graphs import (Graph, ProductGraph, cartesian_product, family,
-                            format_edge_list, is_complete, is_connected,
+from genconn.graphs import (MAX_ORDER, Graph, ProductGraph, cartesian_product,
+                            family, format_edge_list, is_complete, is_connected,
                             is_path_graph, is_tree, lexicographic_product,
                             min_degree, parse_edge_list, root_paths)
 
@@ -80,6 +80,11 @@ class TestEdgeListIO:
         with pytest.raises(ValueError) as err:
             parse_edge_list("3\n0 1\n0 x\n")
         assert "3" in str(err.value)
+
+    def test_vertex_count_at_the_limit_parses(self):
+        assert parse_edge_list("# header\n%d\n0 1\n" % MAX_ORDER).n == MAX_ORDER
+        with pytest.raises(ValueError, match="line 2: vertex count"):
+            parse_edge_list("# header\n%d\n" % (MAX_ORDER + 1))
 
 
 class TestProducts:

@@ -24,11 +24,12 @@ from genconn.graphs import (Graph, ProductGraph, cartesian_product,
                             connected_component, family, is_connected,
                             lexicographic_product)
 from genconn.fractional import fractional_bound, min_weight_tree
+from genconn.connectivity import capped_flow_value
 from genconn.steiner import (GCResult, SteinerTree, _OutOfBudget, _Search,
                              generalized_connectivity, kappa3,
-                             max_tree_packing, verify_packing)
-from genconn.symmetry import (_automorphisms, _transversal, _twin_classes,
-                              generators)
+                             max_tree_packing, pair_flow_bound, verify_packing)
+from genconn.symmetry import (_automorphisms, _least_members, _transversal,
+                              _twin_classes, generators, orbit_representatives)
 
 CROSS_CHECK_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -243,6 +244,25 @@ class TestScanWork:
         # bounds on residual graphs inside the search are not counted
         assert sum(G is host for G in seen) == len(orbits)
 
+    def test_flow_calls_are_pinned(self, monkeypatch):
+        # 42 local connectivities, one per pair met, and 64 capped flows for
+        # the pairs they leave open (126 capped flows when every pair of
+        # every set ran its own)
+        import genconn.connectivity as connectivity
+        import genconn.steiner as steiner
+        host = lexicographic_product(family("path", 4), family("path", 3))
+        calls = []
+        original = connectivity.capped_flow_value
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(connectivity, "capped_flow_value", counted)
+        monkeypatch.setattr(steiner, "capped_flow_value", counted)
+        assert kappa3(host).value == 3
+        assert (len(calls), len(host._pair_kappa)) == (106, 42)
+
     @pytest.mark.parametrize("name,host,want", [
         ("P4oP3", lexicographic_product(family("path", 4), family("path", 3)),
          (3, True, (0, 2, 9), 367)),
@@ -394,6 +414,55 @@ class TestTwinOrbitScan:
                 full = generalized_connectivity(G, k)
             assert (full.value, full.exact, full.witness) == (got.value, True, got.witness)
             assert got.nodes <= full.nodes
+
+
+class TestPairShortcut:
+    """`pair_flow_bound` reads most pairs off the cached local
+    connectivity; each value must equal the capped flow run directly, also
+    where a degree-1 terminal, on the path and the star, gets cap 0."""
+
+    HOSTS = {**SCAN_HOSTS, "P5": family("path", 5), "star5": family("star", 5)}
+
+    @staticmethod
+    def _direct(G, S):
+        # a fresh copy, so no cached network or connectivity is read
+        F = Graph(G.n, G.edges())
+        return min(capped_flow_value(F, x, y, {z: F.degree(z) // 2 for z in S
+                                               if z != x and z != y})
+                   for x, y in combinations(S, 2))
+
+    @pytest.mark.parametrize("name", sorted(HOSTS))
+    def test_against_the_direct_capped_flows(self, name):
+        G = self.HOSTS[name]
+        for k in (3, 4):
+            for S in combinations(range(G.n), k):
+                assert pair_flow_bound(G, S) == self._direct(G, S), (name, S)
+
+
+class TestClassQuotient:
+    """The orbit walk over class-least sets yields what the closure of
+    every set yields: the least member of each orbit, in `combinations`
+    order."""
+
+    C4, K4 = family("cycle", 4), family("complete", 4)
+    HOSTS = {**SCAN_HOSTS, "C4oC4": lexicographic_product(C4, C4),
+             "K4oC4": lexicographic_product(K4, C4),
+             "C5oK3": lexicographic_product(family("cycle", 5), family("complete", 3))}
+
+    @pytest.mark.parametrize("name", sorted(HOSTS))
+    def test_against_the_full_closure(self, name):
+        G = self.HOSTS[name]
+        for k in (3, 4) if name in SCAN_HOSTS else (3,):
+            want = [members[0] for members in _orbits(G, k)]
+            assert list(orbit_representatives(G, k)) == want, (name, k)
+
+    def test_generator_splitting_a_class_falls_back(self):
+        # (0 1) joins a class that (0 2)(1 3) maps onto two one-point
+        # classes, so the walk takes every set and every generator
+        gens = [(1, 0, 2, 3), (2, 3, 0, 1)]
+        for k in (1, 2, 3):
+            want = [members[0] for members in _orbits(Graph(4), k, gens)]
+            assert list(_least_members(4, k, gens)) == want, k
 
 
 def _star_box_diamond():
