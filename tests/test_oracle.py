@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 import brute
 from genconn.bounds import kappa_k_complete
+from genconn.connectivity import capped_flow_value
 from genconn.graphs import (Graph, ProductGraph, cartesian_product,
                             connected_component, family, is_connected,
                             lexicographic_product)
 from genconn.fractional import fractional_bound, min_weight_tree
-from genconn.connectivity import capped_flow_value
 from genconn.steiner import (GCResult, SteinerTree, _OutOfBudget, _Search,
                              generalized_connectivity, kappa3,
                              max_tree_packing, pair_flow_bound, verify_packing)
