@@ -15,7 +15,7 @@ from operator import eq, ge, le
 from .connectivity import vertex_connectivity
 from .graphs import (Graph, cartesian_product, is_complete, is_connected,
                      lexicographic_product, min_degree)
-from .steiner import DEFAULT_BUDGET, kappa3
+from .steiner import DEFAULT_BUDGET, factor_kappa3
 
 
 class Inapplicable(ValueError):
@@ -67,21 +67,13 @@ def cartesian_kappa_formula(G: Graph, H: Graph) -> int:
 
 def cartesian_kappa3_upper(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Upper bound for kappa_3(G box H) from the factor kappa_3 values."""
-    return _cartesian_kappa3_upper(G, H, vertex_connectivity,
-                                   lambda X: kappa3(X, budget=budget))
-
-
-def _cartesian_kappa3_upper(G, H, kappa, k3) -> int:
-    """Like the lexicographic bounds below, asks `kappa` and `k3` for factor
-    values only once the hypotheses hold, so a report can pass its own."""
     if not (is_connected(G) and is_connected(H)):
         raise Inapplicable("both factors must be connected")
-    kg, kh = kappa(G), kappa(H)
-    k3g, k3h = k3(G), k3(H)
+    k3g, k3h = factor_kappa3(G, budget), factor_kappa3(H, budget)
     if not (k3g.exact and k3h.exact):
         raise Inapplicable("factor kappa_3 exhausted its budget", "budget")
-    return min(kappa_ceiling_from_kappa3(k3g.value, kg) * H.n,
-               kappa_ceiling_from_kappa3(k3h.value, kh) * G.n,
+    return min(kappa_ceiling_from_kappa3(k3g.value, vertex_connectivity(G)) * H.n,
+               kappa_ceiling_from_kappa3(k3h.value, vertex_connectivity(H)) * G.n,
                min_degree(G) + min_degree(H))
 
 
@@ -98,33 +90,25 @@ def lex_kappa_formula(G: Graph, H: Graph) -> int:
 
 def lex_kappa3_upper(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Upper bound for kappa_3(G o H): the factor ceiling term times |V(H)|."""
-    return _lex_kappa3_upper(G, H, vertex_connectivity, lambda X: kappa3(X, budget=budget))
-
-
-def _lex_kappa3_upper(G, H, kappa, k3) -> int:
     if G.n < 2:
         raise Inapplicable("left factor must be nontrivial")
     if is_complete(G):
         raise Inapplicable("left factor must not be complete")
     if not (is_connected(G) and is_connected(H)):
         raise Inapplicable("both factors must be connected")
-    k3g = k3(G)
+    k3g = factor_kappa3(G, budget)
     if not k3g.exact:
         raise Inapplicable("factor kappa_3 exhausted its budget", "budget")
-    return kappa_ceiling_from_kappa3(k3g.value, kappa(G)) * H.n
+    return kappa_ceiling_from_kappa3(k3g.value, vertex_connectivity(G)) * H.n
 
 
 def lex_kappa3_lower(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Lower bound kappa_3(G o H) >= kappa_3(G) |V(H)|."""
-    return _lex_kappa3_lower(G, H, lambda X: kappa3(X, budget=budget))
-
-
-def _lex_kappa3_lower(G, H, k3) -> int:
     if G.n < 2:
         raise Inapplicable("left factor must be nontrivial")
     if not (is_connected(G) and is_connected(H)):
         raise Inapplicable("both factors must be connected")
-    k3g = k3(G)
+    k3g = factor_kappa3(G, budget)
     if not k3g.exact:
         raise Inapplicable("factor kappa_3 exhausted its budget", "budget")
     return k3g.value * H.n
@@ -249,8 +233,8 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
     kh = vertex_connectivity(H)
     dg = min_degree(G)
     dh = min_degree(H)
-    k3g = kappa3(G, budget=budget) if conn_g else None
-    k3h = kappa3(H, budget=budget) if conn_h else None
+    k3g = factor_kappa3(G, budget) if conn_g else None
+    k3h = factor_kappa3(H, budget) if conn_h else None
     s, r = divmod(kg, 4)
     report = BoundReport(n=n, m=m, kappa_g=kg, kappa_h=kh, delta_g=dg,
                          delta_h=dh,
@@ -276,7 +260,7 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
         if P.n > product_oracle_limit:
             return Inapplicable("product exceeds the oracle size limit (%d > %d)"
                                 % (P.n, product_oracle_limit), "size")
-        got = kappa3(P, budget=budget)
+        got = factor_kappa3(P, budget)
         if not got.exact:
             return Inapplicable("budget exhausted on the product", "budget")
         report.oracle[label] = got.value
@@ -308,9 +292,6 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
             cands.append((k3h.value, kh, k3g.value))
         return max(a + b - (1 if ka == a else 0) for a, ka, b in cands)
 
-    # the factor values measured above, for the factor bounds
-    kappa, k3 = {G: kg, H: kh}.__getitem__, {G: k3g, H: k3h}.__getitem__
-
     # (name, bound, observed, holds(observed, bound)); a bound raises
     # Inapplicable, and an observed value is one, when the check is skipped
     specs = _factor_checks("g", G, kg, dg, k3g) + _factor_checks("h", H, kh, dh, k3h) + [
@@ -318,10 +299,10 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
         ("cartesian_kappa_formula", cartesian_formula, kappa_cart, eq),
         ("cartesian_kappa3_sum_floor", cartesian_kappa3_sum_floor, k3_cart, ge),
         ("cartesian_kappa3_ceiling",
-         lambda: _cartesian_kappa3_upper(G, H, kappa, k3), k3_cart, le),
+         lambda: cartesian_kappa3_upper(G, H, budget), k3_cart, le),
         ("lex_kappa_formula", lambda: lex_kappa_formula(G, H), kappa_lex, eq),
-        ("lex_kappa3_ceiling", lambda: _lex_kappa3_upper(G, H, kappa, k3), k3_lex, le),
-        ("lex_kappa3_floor", lambda: _lex_kappa3_lower(G, H, k3), k3_lex, ge),
+        ("lex_kappa3_ceiling", lambda: lex_kappa3_upper(G, H, budget), k3_lex, le),
+        ("lex_kappa3_floor", lambda: lex_kappa3_lower(G, H, budget), k3_lex, ge),
         # the plain kappa_3 <= kappa comparison holds on the products too
         ("kappa3_le_kappa_cartesian", lambda: kappa_cart, k3_cart, le),
         ("kappa3_le_kappa_lex", lambda: kappa_lex, k3_lex, le),

@@ -11,6 +11,7 @@ deterministic for a given input graph.
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
 from .graphs import Graph, is_complete, is_connected
 
@@ -131,8 +132,8 @@ def disjoint_paths(G: Graph, x: int, y: int, want=None) -> list:
 
 
 def vertex_connectivity(G: Graph) -> int:
-    """kappa(G): n-1 for complete graphs, 0 if disconnected, else the minimum
-    over the standard candidate pairs of vertex-disjoint-path counts."""
+    """kappa(G): n-1 for complete graphs, 0 if disconnected, else the least
+    `local_connectivity`, kept on the graph, over the standard candidate pairs."""
     if G.n == 0:
         raise ValueError("empty graph")
     if G.n == 1:
@@ -145,19 +146,6 @@ def vertex_connectivity(G: Graph) -> int:
     # separates it from some non-neighbor) or contains it (then it separates
     # two of its neighbors, which are non-adjacent across the cut)
     x0 = min(range(G.n), key=lambda u: (G.degree(u), u))
-    best = G.degree(x0)
-    nbrs = set(G.neighbors(x0))
-    for v in range(G.n):
-        if v != x0 and v not in nbrs:
-            val = capped_flow_value(G, x0, v, limit=best)
-            if val < best:
-                best = val
-    ns = sorted(nbrs)
-    for i in range(len(ns)):
-        for j in range(i + 1, len(ns)):
-            u, w = ns[i], ns[j]
-            if not G.has_edge(u, w):
-                val = capped_flow_value(G, u, w, limit=best)
-                if val < best:
-                    best = val
-    return best
+    pairs = [(x0, v) for v in range(G.n) if v != x0 and not G.has_edge(x0, v)]
+    pairs += [(u, w) for u, w in combinations(G.neighbors(x0), 2) if not G.has_edge(u, w)]
+    return min([G.degree(x0)] + [local_connectivity(G, u, w) for u, w in pairs])

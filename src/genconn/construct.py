@@ -38,12 +38,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .connectivity import disjoint_paths
 from .graphs import ProductGraph, is_path_graph, is_tree
-from .steiner import (DEFAULT_BUDGET, SteinerTree, kappa3, max_tree_packing,
-                      verify_packing)
+from .steiner import (DEFAULT_BUDGET, SteinerTree, factor_kappa3,
+                      max_tree_packing, verify_packing)
 
 
 class ConstructionError(ValueError):
@@ -350,15 +349,6 @@ def construct_tree_lex(P: ProductGraph, S) -> ConstructionResult:
     return construct_general_lex(P, S)
 
 
-@lru_cache(maxsize=8)
-def _base_kappa3(G, budget):
-    """`(value, exact)` of kappa_3(G), once for all the triples of a base.
-    Graphs are immutable and hash by identity; the cache holds its keys,
-    so an id cannot be reused while its entry lives."""
-    got = kappa3(G, budget=budget)
-    return got.value, got.exact
-
-
 def construct_general_lex(P: ProductGraph, S, ell=None,
                           budget: int = DEFAULT_BUDGET) -> ConstructionResult:
     """At least ell * m verified trees for a connected base graph, ell
@@ -380,10 +370,10 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
     if ell is None and is_tree(G):
         ell = 1
     elif ell is None:
-        ell, base_exact = _base_kappa3(G, budget)
-        if not base_exact:
+        base = factor_kappa3(G, budget)
+        ell, exact = base.value, base.exact
+        if not exact:
             notes.append("base kappa_3 budget exhausted; using lower bound %d" % ell)
-            exact = False
     if ell < 1:
         raise ConstructionError("tree count target must be at least 1")
     want = ell * P.right.n

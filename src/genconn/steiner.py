@@ -20,7 +20,10 @@ A new tree may use the unused vertices and the free terminal edges: the
 unused terminal-terminal edges, or none once `dangerous_limit` trees use
 such an edge (`_Search._free_s_edges`).  Prunes, all sound:
 - residual terminal degree: every remaining tree consumes an edge at each
-  terminal;
+  terminal.  The pair-flow prune below implies it wherever it runs: a
+  pair's flow is at most either endpoint's degree in the residual graph,
+  which is at most its degree less the edges consumed at it.  It stays
+  only as a cheap filter ahead of the flows;
 - internal-vertex supply: a remaining tree either owns an unused internal
   vertex, which no other tree shares, or has no internal vertex at all; then
   it spans S with |S|-1 terminal-terminal edges, each free and owned by it
@@ -62,6 +65,7 @@ terminals one exists, so a budget-limited value is never below 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .connectivity import capped_flow_value, disjoint_paths, local_connectivity
@@ -209,7 +213,9 @@ def pair_flow_bound(G: Graph, S, cutoff: int = 1) -> int:
     at most once; as floor(deg z / 2) >= 1 on those, the paths fit the caps
     of the other terminals too, so the capped flow is at least kappa(x, y).
     Each of its units leaves x and enters y by its own edge, so it is at
-    most min(deg x, deg y).  Any other pair runs the capped flow itself."""
+    most min(deg x, deg y).  Any other pair runs the capped flow itself.
+    `vertex_connectivity` reads the same kept values; the search's residual
+    graph is new at every node, so nothing is kept from one to the next."""
     S = sorted(S)
     best = _BIG
     for i in range(len(S)):
@@ -364,8 +370,6 @@ class _Search:
         return None
 
     def _extend(self, chosen, last_key, target):
-        if len(chosen) == target:
-            return list(chosen)
         self.tick()
         remaining = target - len(chosen)
         if remaining == 1:
@@ -693,3 +697,14 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
 def kappa3(G: Graph, budget: int = DEFAULT_BUDGET) -> GCResult:
     """kappa_3(G), the case the product constructions target."""
     return generalized_connectivity(G, 3, budget)
+
+
+@lru_cache(maxsize=8)
+def factor_kappa3(G: Graph, budget: int) -> GCResult:
+    """kappa3(G, budget) once per graph, for a bound report and its bounds
+    and for every triple of a construction on one base; every caller gets
+    the same result, to read only.  Graphs are immutable and hash by
+    identity; the cache holds its keys, so an id is not reused while its
+    entry lives.  Pass both arguments positionally: `lru_cache` keys
+    keyword calls apart."""
+    return kappa3(G, budget)

@@ -139,14 +139,14 @@ class TestConsistencyReport:
 
     def test_each_graph_gets_one_kappa3(self, monkeypatch):
         # the factor bounds reuse the factor values the report measured
-        import genconn.bounds as bounds
+        import genconn.steiner as steiner
         calls = []
 
         def counted(G, budget):
             calls.append(G)
             return kappa3(G, budget=budget)
 
-        monkeypatch.setattr(bounds, "kappa3", counted)
+        monkeypatch.setattr(steiner, "kappa3", counted)
         rep = consistency_report(family("path", 4), family("path", 3))
         assert rep.failures == []
         assert len(calls) == 4 and len(set(map(id, calls))) == 4

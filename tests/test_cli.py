@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from genconn import cli, construct, graphs
+from genconn import cli, graphs, steiner
 from genconn.cli import main
 from genconn.graphs import (cartesian_product, family, format_edge_list,
                             lexicographic_product)
@@ -166,7 +166,7 @@ class TestConstruct:
             return kappa3(*args, **kwargs)
 
         monkeypatch.setattr(cli, "kappa3", counting)
-        monkeypatch.setattr(construct, "kappa3", counting)
+        monkeypatch.setattr(steiner, "kappa3", counting)
         assert run(["construct", "--lex", "cycle:6", "complete:2", "--all-triples"]) == 0
         assert len(calls) == 1
 
@@ -180,7 +180,7 @@ class TestConstruct:
             return kappa3(*args, **kwargs)
 
         monkeypatch.setattr(cli, "kappa3", counting)
-        monkeypatch.setattr(construct, "kappa3", counting)
+        monkeypatch.setattr(steiner, "kappa3", counting)
         diamond = tmp_path / "diamond.txt"
         diamond.write_text("4\n0 1\n0 2\n1 2\n1 3\n2 3\n")
         out = tmp_path / "fam.json"

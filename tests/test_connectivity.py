@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import brute
 from genconn.connectivity import (_SplitFlowNet, capped_flow_value,
-                                  disjoint_paths, vertex_connectivity)
+                                  disjoint_paths, local_connectivity,
+                                  vertex_connectivity)
 from genconn.graphs import Graph, family, lexicographic_product, min_degree
 
 FLOW_SETTINGS = settings(max_examples=80, deadline=None)
@@ -98,6 +99,19 @@ class TestVertexConnectivity:
                  if rng.random() < 0.6]
         G = Graph(n, edges)
         assert vertex_connectivity(G) == brute.vertex_connectivity(n, edges)
+
+    def test_only_the_root_neighbour_pairs_reach_kappa(self):
+        # root 0 has the least degree, 4; each of its non-neighbours still
+        # has 4 paths to it, so only a pair of its neighbours shows kappa 3
+        edges = [(0, 4), (0, 6), (0, 7), (0, 8), (1, 2), (1, 3), (1, 4), (1, 5),
+                 (1, 7), (1, 8), (1, 9), (2, 3), (2, 6), (2, 7), (2, 9), (3, 5),
+                 (3, 6), (3, 7), (3, 9), (4, 8), (4, 9), (5, 6), (5, 9), (8, 9)]
+        G = Graph(10, edges)
+        assert min(range(G.n), key=G.degree) == 0 and G.degree(0) == 4
+        assert all(local_connectivity(G, 0, v) == 4
+                   for v in range(1, G.n) if not G.has_edge(0, v))
+        fresh = Graph(10, edges)
+        assert vertex_connectivity(fresh) == brute.vertex_connectivity(10, edges) == 3
 
 
 class TestCappedFlow:

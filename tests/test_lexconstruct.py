@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from genconn import construct
+from genconn import construct, steiner
 from genconn.connectivity import vertex_connectivity
 from genconn.construct import (ConstructionError, ConstructionResult,
                                construct_general_lex, construct_path_lex,
@@ -85,9 +85,18 @@ class TestPathBase:
 
 class TestTreeBase:
     def test_star_base_full_sweep(self):
-        P = lex(family("star", 4), family("path", 3))
-        for S in combinations(range(P.n), 3):
-            assert_family(P, S, construct_tree_lex(P, S), 3)
+        # P2 = K_{1,1} puts every triple in one or two fibers: with P5 the
+        # adjacent-pair family meets an edge inside the pair's lanes, and
+        # with two disjoint edges a far lane beyond four lanes
+        two_k2 = Graph(4, [(0, 1), (2, 3)])
+        for G, H in ((family("star", 4), family("path", 3)),
+                     (family("path", 2), family("path", 5)),
+                     (family("path", 2), two_k2)):
+            P = lex(G, H)
+            for S in combinations(range(P.n), 3):
+                result = construct_tree_lex(P, S)
+                assert_family(P, S, result, H.n)
+                assert result.fallbacks == 0, S
 
     def test_spider_spot_checks(self):
         P = lex(spider_123(), family("path", 3))
@@ -113,7 +122,7 @@ class TestTreeBase:
         def boom(*args, **kwargs):
             raise AssertionError("oracle called on a tree base")
 
-        monkeypatch.setattr(construct, "kappa3", boom)
+        monkeypatch.setattr(steiner, "kappa3", boom)
         monkeypatch.setattr(construct, "max_tree_packing", boom)
         P = lex(family("star", 4), family("path", 3))
         for S in combinations(range(P.n), 3):

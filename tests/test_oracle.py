@@ -749,7 +749,7 @@ class TestSearchControls:
         # construct composer asks for d = 1
         G = DANGEROUS_LIMIT_HOSTS[name]
         edges = G.edges()
-        for k in (3, 4):
+        for k in (2, 3, 4):
             for S in combinations(range(G.n), k):
                 for d in (0, 1):
                     pack = max_tree_packing(G, S, dangerous_limit=d)
