@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import eq, ge, le
 
+from . import steiner
 from .connectivity import vertex_connectivity
 from .graphs import (Graph, cartesian_product, is_complete, is_connected,
                      lexicographic_product, min_degree)
@@ -260,7 +261,7 @@ def consistency_report(G: Graph, H: Graph, budget: int = DEFAULT_BUDGET,
         if P.n > product_oracle_limit:
             return Inapplicable("product exceeds the oracle size limit (%d > %d)"
                                 % (P.n, product_oracle_limit), "size")
-        got = factor_kappa3(P, budget)
+        got = steiner.kappa3(P, budget)
         if not got.exact:
             return Inapplicable("budget exhausted on the product", "budget")
         report.oracle[label] = got.value

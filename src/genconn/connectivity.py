@@ -132,8 +132,9 @@ def disjoint_paths(G: Graph, x: int, y: int, want=None) -> list:
 
 
 def vertex_connectivity(G: Graph) -> int:
-    """kappa(G): n-1 for complete graphs, 0 if disconnected, else the least
-    `local_connectivity`, kept on the graph, over the standard candidate pairs."""
+    """kappa(G): n-1 for complete graphs, 0 if disconnected, else the minimum
+    over the standard candidate pairs of vertex-disjoint-path counts, each
+    flow stopped at the least count so far (so no kappa(x, y) is kept)."""
     if G.n == 0:
         raise ValueError("empty graph")
     if G.n == 1:
@@ -148,4 +149,7 @@ def vertex_connectivity(G: Graph) -> int:
     x0 = min(range(G.n), key=lambda u: (G.degree(u), u))
     pairs = [(x0, v) for v in range(G.n) if v != x0 and not G.has_edge(x0, v)]
     pairs += [(u, w) for u, w in combinations(G.neighbors(x0), 2) if not G.has_edge(u, w)]
-    return min([G.degree(x0)] + [local_connectivity(G, u, w) for u, w in pairs])
+    best = G.degree(x0)
+    for u, w in pairs:
+        best = min(best, capped_flow_value(G, u, w, limit=best))
+    return best

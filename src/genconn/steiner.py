@@ -20,10 +20,8 @@ A new tree may use the unused vertices and the free terminal edges: the
 unused terminal-terminal edges, or none once `dangerous_limit` trees use
 such an edge (`_Search._free_s_edges`).  Prunes, all sound:
 - residual terminal degree: every remaining tree consumes an edge at each
-  terminal.  The pair-flow prune below implies it wherever it runs: a
-  pair's flow is at most either endpoint's degree in the residual graph,
-  which is at most its degree less the edges consumed at it.  It stays
-  only as a cheap filter ahead of the flows;
+  terminal.  Implied by the pair-flow prune below wherever that runs (a
+  pair's flow is at most either residual degree); kept as a cheap filter;
 - internal-vertex supply: a remaining tree either owns an unused internal
   vertex, which no other tree shares, or has no internal vertex at all; then
   it spans S with |S|-1 terminal-terminal edges, each free and owned by it
@@ -214,8 +212,7 @@ def pair_flow_bound(G: Graph, S, cutoff: int = 1) -> int:
     of the other terminals too, so the capped flow is at least kappa(x, y).
     Each of its units leaves x and enters y by its own edge, so it is at
     most min(deg x, deg y).  Any other pair runs the capped flow itself.
-    `vertex_connectivity` reads the same kept values; the search's residual
-    graph is new at every node, so nothing is kept from one to the next."""
+    The search's residual graph is new at every node and keeps nothing."""
     S = sorted(S)
     best = _BIG
     for i in range(len(S)):
@@ -701,10 +698,8 @@ def kappa3(G: Graph, budget: int = DEFAULT_BUDGET) -> GCResult:
 
 @lru_cache(maxsize=8)
 def factor_kappa3(G: Graph, budget: int) -> GCResult:
-    """kappa3(G, budget) once per graph, for a bound report and its bounds
-    and for every triple of a construction on one base; every caller gets
-    the same result, to read only.  Graphs are immutable and hash by
-    identity; the cache holds its keys, so an id is not reused while its
-    entry lives.  Pass both arguments positionally: `lru_cache` keys
-    keyword calls apart."""
+    """kappa3(G, budget) once per factor graph, shared read-only by a bound
+    report, its bounds and every triple of a construction on one base.
+    Graphs hash by identity and the cache holds its keys, so no id is reused
+    while its entry lives.  Call it positionally: lru_cache keys keywords apart."""
     return kappa3(G, budget)

@@ -293,12 +293,16 @@ class TestBounds:
         assert "0 failed" in capsys.readouterr().out
 
     def test_seeded_sweep_is_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["bounds", "--random-pairs", "3", "--max-order", "4",
-                "--seed", "7"]
-        assert run(base + ["--csv", str(a)]) == 0
-        assert run(base + ["--csv", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        # the sweep the ROADMAP baseline quotes, pinned byte for byte
+        table, reports = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert run(["bounds", "--random-pairs", "25", "--max-order", "5",
+                    "--seed", "7", "--budget", "2e6",
+                    "--csv", str(table), "--json", str(reports)]) == 0
+        assert "skipped: budget" not in table.read_text()
+        assert (hashlib.sha256(table.read_bytes()).hexdigest()
+                == "400a03e0484a2caa5f4a2205494be991ef61587259f67ed9cf687211c27918e8")
+        assert (hashlib.sha256(reports.read_bytes()).hexdigest()
+                == "d00025b61b6cb46257976be396df5a9fe4da389eb4e2136490732a1912968043")
 
     def test_bad_pair_spec_exits_4(self):
         assert run(["bounds", "--pair", "path:4"]) == 4

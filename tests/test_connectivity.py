@@ -110,8 +110,7 @@ class TestVertexConnectivity:
         assert min(range(G.n), key=G.degree) == 0 and G.degree(0) == 4
         assert all(local_connectivity(G, 0, v) == 4
                    for v in range(1, G.n) if not G.has_edge(0, v))
-        fresh = Graph(10, edges)
-        assert vertex_connectivity(fresh) == brute.vertex_connectivity(10, edges) == 3
+        assert vertex_connectivity(G) == brute.vertex_connectivity(10, edges) == 3
 
 
 class TestCappedFlow:
