@@ -29,7 +29,7 @@ from .certificates import (CertificateError, certificate_set, dump_certificate,
                            vertex_name)
 from .connectivity import vertex_connectivity
 from .construct import ConstructionError, construct_general_lex
-from .graphs import (Graph, family, is_complete, is_connected,
+from .graphs import (MAX_ORDER, Graph, family, is_complete, is_connected,
                      lexicographic_product, min_degree, parse_edge_list)
 from .steiner import DEFAULT_BUDGET, generalized_connectivity, kappa3
 
@@ -186,7 +186,10 @@ def cmd_construct(args) -> int:
     H = load_graph_arg(args.factors[1])
     if not is_connected(G):
         _fail("base graph %s is disconnected" % args.factors[0])
-    P = lexicographic_product(G, H)
+    try:
+        P = lexicographic_product(G, H)
+    except ValueError as exc:
+        _fail(str(exc))
 
     if args.terminals:
         triples = [parse_terminals(P, args.terminals)]
@@ -273,7 +276,11 @@ def _parse_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         _fail("pair %r must be 'G,H'" % text)
-    return load_graph_arg(parts[0]), load_graph_arg(parts[1])
+    G, H = load_graph_arg(parts[0]), load_graph_arg(parts[1])
+    if G.n * H.n > MAX_ORDER:
+        _fail("pair %r: its products of %d vertices are above the limit of %d"
+              % (text, G.n * H.n, MAX_ORDER))
+    return G, H
 
 
 def cmd_bounds(args) -> int:

@@ -38,6 +38,7 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        _check_order("graph", n)
         adj = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
@@ -109,11 +110,17 @@ class ProductGraph(Graph):
         return "ProductGraph(kind=%s, %d x %d)" % (self.kind, self.left.n, self.right.n)
 
 
-# the largest vertex count an edge list may declare, checked at the header
-# before anything of that size is allocated.  A graph keeps about 240 bytes
-# per vertex before any edge (2.3 MiB at this order, 23 GiB at 10^8), and
-# the exact oracle settles hosts of tens of vertices, far below this order
+# the largest vertex count of any graph the package builds: an edge-list
+# header, a certificate factor, a family or a product above it fails before
+# anything of that size is allocated.  A graph keeps about 240 bytes per
+# vertex before any edge (2.3 MiB at this order, 23 GiB at 10^8), and the
+# exact oracle settles hosts of tens of vertices, far below this order
 MAX_ORDER = 10_000
+
+
+def _check_order(what: str, n: int):
+    if n > MAX_ORDER:
+        raise ValueError("%s of %d vertices is above the limit of %d" % (what, n, MAX_ORDER))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -171,6 +178,7 @@ def family(kind: str, size: int) -> Graph:
         raise ValueError("unknown family kind %r" % kind)
     if size < _FAMILY_MIN[kind]:
         raise ValueError("family %s needs size >= %d" % (kind, _FAMILY_MIN[kind]))
+    _check_order("family %s" % kind, size)
     if kind == "path":
         return Graph(size, [(i, i + 1) for i in range(size - 1)])
     if kind == "cycle":
@@ -184,6 +192,7 @@ def lexicographic_product(G: Graph, H: Graph) -> ProductGraph:
     """G o H: (u,v) ~ (u',v') iff uu' in E(G), or u = u' and vv' in E(H)."""
     if G.n == 0 or H.n == 0:
         raise ValueError("product factors must be nonempty")
+    _check_order("lexicographic product", G.n * H.n)
     m = H.n
     edges = []
     for (u, u2) in G.edges():
@@ -200,6 +209,7 @@ def cartesian_product(G: Graph, H: Graph) -> ProductGraph:
     """G box H: (u,v) ~ (u',v') iff u = u' and vv' in E(H), or v = v' and uu' in E(G)."""
     if G.n == 0 or H.n == 0:
         raise ValueError("product factors must be nonempty")
+    _check_order("cartesian product", G.n * H.n)
     m = H.n
     edges = []
     for (u, u2) in G.edges():

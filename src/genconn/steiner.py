@@ -47,11 +47,16 @@ packing are disjoint in both, so p of them weigh at least p * W(w) and at
 most sum(w), and kappa(S) <= floor(sum(w) / W(w)) (weak duality).  A
 least-weight tree is minimal, because w >= 0.  `fractional.fractional_bound`
 picks w by column generation and prices it exactly, with a Dreyfus-Wagner
-DP in integers.  `max_tree_packing` computes it at most once per set, and
-only for sets of up to `_LP_MAX_TERMINALS` terminals: when a greedy pass
-misses, and on a capped call only once that pass's back-off fails too.
-When it is below the size sought, that size fails without a search.
-`dangerous_limit` only removes trees, so the bound holds under it too.
+DP in integers.  `dangerous_limit` only removes trees, so the bound holds
+under it too.
+
+One `_Search.find` call settles each size t, in this order: greedy
+passes, one per terminal, each near miss with its back-offs; the bound,
+computed at most once per set, for sets of up to `_LP_MAX_TERMINALS`
+terminals, when a pass misses (on a capped call once that pass's back-off
+fails too), and failing t at once when below it; then the exhaustive
+search from the empty packing, at most once: a back-off that undoes a
+whole pass is that search, and its None ends t.
 
 The budget counts search steps, each step of the leg DFS among them, and
 the fractional bound's rounds, pivots and subset merges; running out
@@ -252,7 +257,7 @@ def _count_bound(G: Graph, S, component) -> int:
 # the largest terminal set the fractional bound is computed for: one
 # pricing takes about 3^(k-1)/2 subset merges, 966 at k = 8; from about 9
 # terminals on the pricing rounds cost more nodes than the search they save
-# (12 evenly spaced terminals of C24: 3,676 nodes without the bound,
+# (12 evenly spaced terminals of C24: 285 nodes without the bound,
 # 1,038,343 with it)
 _LP_MAX_TERMINALS = 8
 
@@ -314,29 +319,27 @@ class _Search:
 
     # ---- packing DFS ----
 
-    def find(self, target):
-        self._reset()
-        return self._extend([], None, target)
+    def find(self, target, settled, backoff_first):
+        """A packing of `target` trees, or None only when none exists.
 
-    def greedy(self, target, settled, backoff_first):
-        """Residual BFS, one pass per terminal as the BFS root: each pass
-        takes the tree BFS yields and removes it, until it has `target`.
-        Sound whenever it succeeds; no completeness claim, the caller falls
-        back to the full search when it returns None.
-
-        Each tree is sought without terminal-terminal edges first: those
-        edges are scarce and a tight packing usually needs them for the
-        closing trees, after the plain vertices run out.  A near miss is
-        handed to the full search to finish: the trees BFS gets wrong are
-        the closing ones, and the residual left for the search is small.
+        In order: residual BFS passes, one per terminal as the BFS root,
+        each taking the tree BFS yields until it has `target`, a near miss
+        followed by its back-offs; the fractional bound; then at most one
+        exhaustive search from the empty packing.  A pass seeks each tree
+        without terminal-terminal edges first: those are scarce, and a
+        tight packing needs them for the closing trees.  A back-off hands
+        the trees BFS got right to the search, which finishes the closing
+        ones in a small residual.  A back-off that undoes the whole pass is
+        the search from the empty packing, so its None ends the size.
 
         `settled(target)` asks the fractional bound; True means no packing
-        of that size exists, and the greedy gives up at once.  It runs after
-        a pass misses, before its back-off, or with `backoff_first` after
-        the pass's back-off fails.  Either place changes no result, only the
-        nodes spent and where a budget runs out: when the bound is below
-        target, every later pass and back-off would fail too, and when it is
-        not, the passes go on exactly as without it."""
+        of that size exists.  It runs after a pass misses, before its
+        back-off, or with `backoff_first` (capped calls, most of which a
+        back-off settles more cheaply) after the pass's back-off fails, and
+        before the search from the empty packing.  Either place changes
+        no result, only the nodes spent and where a budget runs out: when
+        the bound is below target, every later pass and back-off would fail
+        too, and when it is not, the passes go on exactly as without it."""
         for root in self.S:
             self._reset()
             chosen = []
@@ -360,11 +363,14 @@ class _Search:
                         break
                     self._undo(chosen[len(chosen) - back])
                     done = self._extend(chosen[:len(chosen) - back], None, target)
-                    if done is not None:
+                    if done is not None or back == len(chosen):
                         return done
                 if settled(target):
                     return None
-        return None
+        if settled(target):
+            return None
+        self._reset()
+        return self._extend([], None, target)
 
     def _extend(self, chosen, last_key, target):
         self.tick()
@@ -536,9 +542,8 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
     Exact unless the budget runs out (then the incumbent is returned flagged,
     and exact only when one BFS tree meets an upper bound of 1: the pair
     flow or count bound, or the fractional bound if it was computed).
-    A size the greedy misses fails outright when the fractional bound (see
-    the module docstring) is below it, and goes to the full search
-    otherwise.
+    Each size makes one `_Search.find` call, which returns None only when
+    no packing of that size exists (see the module docstring).
     `cap` stops the search as soon as a packing of that size is found, for
     callers that only need a witness.  `dangerous_limit` restricts how many
     trees may use an edge joining two terminals.  `_pair_bound`, private to
@@ -586,22 +591,15 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
             return t > ub
 
         # try packings of size 1, 2, ... up to the bound: the first size that
-        # fails settles the value; running out of budget leaves it open.  An
-        # uncapped call asks the fractional bound as soon as a greedy pass
-        # misses, before its back-off reruns the search; a capped one after
-        # the first back-off that fails, as a back-off settles most capped
-        # sets more cheaply than the bound.  Asking earlier than after the
-        # whole greedy changes no size and no tree: a bound below t skips
-        # only passes that cannot succeed.  It can only lower `ub`, so a
-        # packing that hits its cap is flagged exact more often
+        # fails settles the value; running out of budget leaves it open.  The
+        # fractional bound can only lower `ub`, so a packing that hits its
+        # cap is flagged exact more often
         best = []
         exact = True
         hit_cap = False
         for t in range(1, ub + 1):
             try:
-                found = search.greedy(t, settled, cap is not None)
-                if found is None and not settled(t):
-                    found = search.find(t)
+                found = search.find(t, settled, cap is not None)
             except _OutOfBudget:
                 exact = False
                 if t == 1:

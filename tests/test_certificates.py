@@ -14,7 +14,7 @@ from genconn.certificates import (CertificateError, certificate_set,
                                   dump_certificate, load_certificate,
                                   packing_certificate, parse_vertex,
                                   rebuild_host, reverify, vertex_name)
-from genconn.graphs import family, lexicographic_product
+from genconn.graphs import MAX_ORDER, family, lexicographic_product
 from genconn.steiner import max_tree_packing
 
 
@@ -163,6 +163,19 @@ class TestMalformedInput:
         doc["terminals"] = [doc["terminals"][0]] * 3
         verdict = reverify(doc)
         assert not verdict.ok
+
+    def test_factor_above_the_order_limit(self):
+        _, doc = plain_doc()
+        doc["host"]["factors"][0] = {"order": MAX_ORDER + 1, "edges": []}
+        with pytest.raises(CertificateError, match="above the limit"):
+            load_certificate(dump_certificate(doc))
+
+    def test_product_above_the_order_limit(self):
+        _, _, doc = product_doc()
+        doc["host"] = {"product_kind": "cartesian",
+                       "factors": [{"order": 101, "edges": []}, {"order": 100, "edges": []}]}
+        with pytest.raises(CertificateError, match="cartesian product of 10100 vertices"):
+            load_certificate(dump_certificate(doc))
 
     @pytest.mark.parametrize("damage", ["no_stats", "one_name_edge"])
     def test_reverify_raises_on_a_malformed_document(self, damage):

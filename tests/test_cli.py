@@ -265,6 +265,16 @@ class TestVerify:
     def test_missing_file_exits_4(self, tmp_path):
         assert run(["verify", str(tmp_path / "nope.json")]) == 4
 
+    def test_factor_above_the_order_limit_exits_4(self, tmp_path, capsys):
+        doc = {"kind": "certificate", "terminals": ["0"], "trees": [],
+               "verdict": {"ok": True, "reason": ""}, "stats": {},
+               "host": {"product_kind": "none",
+                        "factors": [{"order": graphs.MAX_ORDER + 1, "edges": []}]}}
+        cert = tmp_path / "big.json"
+        cert.write_text(json.dumps(doc))
+        assert run(["verify", str(cert)]) == 4
+        assert "above the limit" in capsys.readouterr().err
+
     def test_malformed_json_exits_4(self, tmp_path):
         f = tmp_path / "junk.json"
         f.write_text("{not json")
@@ -332,6 +342,27 @@ class TestFailFast:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+    @pytest.mark.parametrize("argv", [
+        ["kappa", "--family", "path:10001"],
+        ["construct", "--lex", "path:5001", "{edgeless}", "--terminals", "0:0 1:0 2:0"],
+        ["bounds", "--pair", "path:101,path:100"],
+    ], ids=["kappa-family", "construct-product", "bounds-product"])
+    def test_graph_above_the_order_limit_exits_4(self, tmp_path, capsys, monkeypatch, argv):
+        # the family or the product is over graphs.MAX_ORDER = 10,000
+        # vertices, so no oracle, construction or report may start
+        def boom(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("vertex_connectivity", "kappa3", "construct_general_lex"):
+            monkeypatch.setattr(cli, name, boom)
+        monkeypatch.setattr(cli.bounds, "consistency_report", boom)
+        (tmp_path / "edgeless.txt").write_text("2\n")
+        assert run([arg.format(edgeless=tmp_path / "edgeless.txt") for arg in argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "above the limit of %d" % graphs.MAX_ORDER in captured.err
 
 
 class TestTopLevel:

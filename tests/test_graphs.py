@@ -140,6 +140,29 @@ class TestProducts:
         assert Q.kind == "cartesian"
 
 
+class TestOrderLimit:
+    def test_a_graph_above_the_limit_is_rejected(self):
+        assert Graph(MAX_ORDER).n == MAX_ORDER
+        with pytest.raises(ValueError, match="graph of %d vertices" % (MAX_ORDER + 1)):
+            Graph(MAX_ORDER + 1)
+
+    def test_family_stops_before_its_edges(self):
+        with pytest.raises(ValueError, match="family path of %d vertices" % (MAX_ORDER + 1)):
+            family("path", MAX_ORDER + 1)
+
+    def test_products_stop_before_their_edges(self, monkeypatch):
+        P101, P100, P5001 = family("path", 101), family("path", 100), family("path", 5001)
+
+        def boom(self):
+            raise AssertionError("a factor's edges were read")
+
+        monkeypatch.setattr(Graph, "edges", boom)
+        with pytest.raises(ValueError, match="cartesian product of 10100 vertices"):
+            cartesian_product(P101, P100)
+        with pytest.raises(ValueError, match="lexicographic product of 10002 vertices"):
+            lexicographic_product(P5001, Graph(2))
+
+
 class TestTreeHelpers:
     def test_min_degree(self):
         assert min_degree(family("path", 4)) == 1

@@ -11,6 +11,7 @@ import importlib.util
 import random
 import sys
 import time
+from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -697,10 +698,34 @@ class TestFractionalBound:
         assert time.perf_counter() - start < 1.0
         assert pack.nodes <= 1001 and pack.verified
         # above 8 terminals the bound is not asked: the search settles this
-        # set in 3,676 nodes, where the pricing rounds took over a million
-        # (13,864 when the greedy reshuffled its BFS order 48 times)
+        # set in 285 nodes, where the pricing rounds took over a million
+        # (3,676 when each of the 12 passes and a last search reran the one
+        # failing search from the empty packing; 13,864 when the greedy
+        # reshuffled its BFS order 48 times)
         pack = max_tree_packing(G, S)
-        assert (pack.size, pack.exact, pack.nodes) == (1, True, 3676)
+        assert (pack.size, pack.exact, pack.nodes) == (1, True, 285)
+        # the same on C20 with 10 terminals (2,164 nodes with the reruns)
+        pack = max_tree_packing(family("cycle", 20), tuple(range(0, 20, 2)))
+        assert (pack.size, pack.exact, pack.nodes) == (1, True, 199)
+
+    def test_one_search_from_the_empty_packing_per_size(self, monkeypatch):
+        # a back-off that undoes a whole pass is the search from the empty
+        # packing: once it fails, no later pass or last search reruns it
+        extend = _Search._extend
+        failed = Counter()
+
+        def counting(self, chosen, last_key, target):
+            result = extend(self, chosen, last_key, target)
+            if chosen == [] and last_key is None and result is None:
+                failed[target] += 1
+            return result
+
+        monkeypatch.setattr(_Search, "_extend", counting)
+        for n in (24, 20):
+            failed.clear()
+            pack = max_tree_packing(family("cycle", n), tuple(range(0, n, 2)))
+            assert pack.size == 1 and pack.exact
+            assert failed and max(failed.values()) == 1, (n, failed)
 
 
 class TestSearchControls:
@@ -817,3 +842,15 @@ class TestVerifier:
         G = self.host()
         v = verify_packing(G, (0, 2), [[(0, 1), (1, 2)], [(0, 4), (4, 3), (3, 2)]])
         assert v.ok
+
+    def test_terminal_outside_the_host(self):
+        G = self.host()
+        v = verify_packing(G, (0, 2, G.n), [[(0, 1), (1, 2)]])
+        assert not v.ok and v.reason == "terminal %d not a vertex of the host" % G.n
+
+    def test_forest_with_one_edge_fewer_than_vertices(self):
+        # a triangle plus a separate edge: 4 edges on 5 vertices, so only
+        # the connectivity check can reject it
+        t = SteinerTree((0, 1, 3), ((0, 1), (0, 2), (1, 2), (3, 4)))
+        v = verify_packing(family("complete", 5), (0, 1, 3), [t])
+        assert not v.ok and v.reason == "tree 0 is disconnected"
