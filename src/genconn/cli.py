@@ -54,8 +54,8 @@ def _fail(message: str):
     sys.exit(EXIT_INPUT)
 
 
-def _at_least(low: int, parse=int):
-    """argparse type: a number read by `parse`, no smaller than `low`."""
+def _at_least(low: int, parse=int, most=None):
+    """argparse type: a number read by `parse`, from `low` up to `most`."""
     def check(text: str) -> int:
         try:
             value = parse(text)
@@ -63,6 +63,8 @@ def _at_least(low: int, parse=int):
             raise argparse.ArgumentTypeError("%r is not a number" % text)
         if value < low:
             raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError("must be at most %d, got %d" % (most, value))
         return value
     return check
 
@@ -371,7 +373,8 @@ def build_parser() -> _Parser:
     which.add_argument("--pair", action="append", metavar="G,H",
                        help="factor pair, repeatable")
     which.add_argument("--random-pairs", type=_at_least(1), metavar="N")
-    p_bnd.add_argument("--max-order", type=_at_least(3), default=5)
+    # random_pair's product cap of 16 fits no factor above 5 beside one of 3
+    p_bnd.add_argument("--max-order", type=_at_least(3, most=5), default=5)
     p_bnd.add_argument("--seed", type=int, default=0)
     p_bnd.add_argument("--product-oracle-limit", type=int, default=16,
                        help="skip product kappa_3 above this many vertices")

@@ -56,7 +56,9 @@ computed at most once per set, for sets of up to `_LP_MAX_TERMINALS`
 terminals, when a pass misses (on a capped call once that pass's back-off
 fails too), and failing t at once when below it; then the exhaustive
 search from the empty packing, at most once: a back-off that undoes a
-whole pass is that search, and its None ends t.
+whole pass is that search, and its None ends t.  A pass is kept across
+sizes: its i-th tree depends on the trees before it alone, never on t, so
+the pass for t + 1 extends the pass for t and no tree is built twice.
 
 The budget counts search steps, each step of the leg DFS among them, and
 the fractional bound's rounds, pivots and subset merges; running out
@@ -257,8 +259,8 @@ def _count_bound(G: Graph, S, component) -> int:
 # the largest terminal set the fractional bound is computed for: one
 # pricing takes about 3^(k-1)/2 subset merges, 966 at k = 8; from about 9
 # terminals on the pricing rounds cost more nodes than the search they save
-# (12 evenly spaced terminals of C24: 285 nodes without the bound,
-# 1,038,343 with it)
+# (12 evenly spaced terminals of C24: 283 nodes without the bound,
+# 1,038,341 with it)
 _LP_MAX_TERMINALS = 8
 
 
@@ -303,6 +305,10 @@ class _Search:
         self.component = component
         self.s_edges_all = frozenset(
             (u, v) for u, v in combinations(self.S, 2) if G.has_edge(u, v))
+        self.common = sorted(set.intersection(
+            *(set(G.neighbors(s)) for s in self.S)) - self.term_set)
+        self.passes = {s: [] for s in self.S}
+        self.missed = set()
         self._reset()
 
     def _reset(self):
@@ -325,7 +331,10 @@ class _Search:
         In order: residual BFS passes, one per terminal as the BFS root,
         each taking the tree BFS yields until it has `target`, a near miss
         followed by its back-offs; the fractional bound; then at most one
-        exhaustive search from the empty packing.  A pass seeks each tree
+        exhaustive search from the empty packing.  A pass is kept across
+        calls and only extended, its trees re-applied at no step: tree i
+        depends on trees 1..i-1 alone, not on `target`, and a pass that
+        missed would miss again.  A pass seeks each tree
         without terminal-terminal edges first: those are scarce, and a
         tight packing needs them for the closing trees.  A back-off hands
         the trees BFS got right to the search, which finishes the closing
@@ -342,19 +351,22 @@ class _Search:
         too, and when it is not, the passes go on exactly as without it."""
         for root in self.S:
             self._reset()
-            chosen = []
-            for _ in range(target):
+            chosen = self.passes[root]
+            for tree in chosen:
+                self._apply(tree)
+            while len(chosen) < target and root not in self.missed:
                 tree = self._common_star()
                 if tree is None:
                     tree = self._last_tree(root=root, plain=True)
                 if tree is None:
                     tree = self._last_tree(root=root)
                 if tree is None:
+                    self.missed.add(root)
                     break
                 self._apply(tree)
                 chosen.append(tree)
             if len(chosen) == target:
-                return chosen
+                return list(chosen)
             if not backoff_first and settled(target):
                 return None
             if target - len(chosen) <= 2:
@@ -403,12 +415,12 @@ class _Search:
         return None
 
     def _common_star(self):
-        """Cheapest tree there is: one unused common neighbor of all the
-        terminals.  Consumes a single vertex and one edge per terminal, so
-        the greedy loop prefers it over anything BFS can produce."""
+        """Cheapest tree there is: the least unused vertex of `common`, the
+        terminals' common neighbors.  Consumes a single vertex and one edge
+        per terminal, so the greedy loop prefers it over anything BFS can make."""
         self.tick()
-        for v in sorted(self.avail):
-            if all(self.G.has_edge(v, s) for s in self.S):
+        for v in self.common:
+            if v in self.avail:
                 edges = tuple(sorted((v, s) if v < s else (s, v) for s in self.S))
                 return _Candidate(edges, self.term_set)
         return None

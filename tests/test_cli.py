@@ -92,9 +92,9 @@ class TestKappa:
 
     @pytest.mark.parametrize("host,digest", [
         (lexicographic_product(family("cycle", 4), family("cycle", 4)),
-         "cb0f10d22371f96e95859be4307ac15e0afbce0a00b928339705657b77fd53b8"),
+         "51a5a60ce38079680e9ec55d83ee583323cb4891dfec4a8a0d25566a1411e31b"),
         (cartesian_product(family("cycle", 4), family("path", 3)),
-         "9df4fae4ad8978ca6d859e0c10cf020c062f999420a1c81635ec1c946c373e0e"),
+         "c8e064bebc9380729d67242c902652bca1828fc7b9bbbde1fe85af366cb99018"),
     ], ids=["C4oC4", "C4xP3"])
     def test_witness_certificate_bytes_are_pinned(self, tmp_path, host, digest):
         # a faster scan keeps the witness set, its trees and the node count
@@ -171,7 +171,7 @@ class TestConstruct:
         assert len(calls) == 1
 
     def test_inexact_base_kappa3_is_computed_once_per_run(self, tmp_path, monkeypatch):
-        # the diamond's kappa_3 runs out of a budget of 5: every family
+        # the diamond's kappa_3 runs out of a budget of 4: every family
         # still notes it, from one computation, with the same bytes
         calls = []
 
@@ -185,10 +185,10 @@ class TestConstruct:
         diamond.write_text("4\n0 1\n0 2\n1 2\n1 3\n2 3\n")
         out = tmp_path / "fam.json"
         assert run(["construct", "--lex", str(diamond), "complete:2", "--all-triples",
-                    "--budget", "5", "--output", str(out)]) == 3
+                    "--budget", "4", "--output", str(out)]) == 3
         assert len(calls) == 1
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
-                == "3d7f2bdb69bcb995ec6e5dd2c20e56381a09563337ef274336c0f15aed732620")
+                == "6871d1880aabd9a225dbc416ade83c7be3a7e598e80dcb0458f417567d758dbd")
 
     def test_random_triples_are_seeded(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -204,10 +204,10 @@ class TestConstruct:
         diamond = tmp_path / "diamond.txt"
         diamond.write_text("4\n0 1\n0 2\n1 2\n1 3\n2 3\n")
         code = run(["construct", "--lex", str(diamond), "complete:2",
-                    "--terminals", "1:0 2:0 0:0", "--budget", "5"])
+                    "--terminals", "1:0 2:0 0:0", "--budget", "4"])
         assert code == 3
         out = capsys.readouterr().out
-        assert "terminals 0:0 1:0 2:0: 2 trees (2 via oracle) (budget-limited)" in out
+        assert "terminals 0:0 1:0 2:0: 3 trees (3 via oracle) (budget-limited)" in out
         assert "failures: 0" in out
 
     def test_bad_terminals_exit_4(self, capsys):
@@ -323,6 +323,8 @@ class TestFailFast:
     @pytest.mark.parametrize("argv", [
         ["construct", "--lex", "path:4", "path:3", "--terminals", "0 1 99"],
         ["bounds", "--random-pairs", "1", "--max-order", "2"],
+        ["bounds", "--random-pairs", "1", "--max-order", "6"],
+        ["bounds", "--random-pairs", "1", "--max-order", "3000"],
         ["kappa", "--family", "path:4", "--k", "1"],
         ["construct", "--lex", "path:4", "path:3", "--random-triples", "0"],
         ["bounds", "--random-pairs", "0"],
@@ -330,7 +332,7 @@ class TestFailFast:
         ["kappa", "--edges", "{empty}"],
         ["bounds", "--pair", "{empty},path:2"],
         ["construct", "--lex", "{split}", "path:2", "--all-triples"],
-    ], ids=["flat-terminal-ids", "max-order-2", "k-1", "random-triples-0",
+    ], ids=["flat-terminal-ids", "max-order-2", "max-order-6", "max-order-3000", "k-1", "random-triples-0",
             "random-pairs-0", "budget-inf", "kappa-no-vertices",
             "bounds-no-vertices", "construct-disconnected-base"])
     def test_bad_argument_exits_4_before_any_work(self, tmp_path, capsys, argv):

@@ -101,13 +101,12 @@ EVERY_K_HOSTS = {
 EVERY_K_HOSTS.update(("random-%d" % seed, _seeded_graph(seed)) for seed in range(6))
 
 
-# hosts with many terminal-terminal edges, for the dangerous limit
+# hosts with many terminal-terminal edges, and every host of TestEveryK,
+# for the dangerous limit
 DANGEROUS_LIMIT_HOSTS = {
     "K5": family("complete", 5),
-    "K2xK3": EVERY_K_HOSTS["K2xK3"],
-    "P3oK2": EVERY_K_HOSTS["P3oK2"],
     "W5": Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
-    "random-0": EVERY_K_HOSTS["random-0"],
+    **EVERY_K_HOSTS,
 }
 
 
@@ -266,18 +265,19 @@ class TestScanWork:
 
     @pytest.mark.parametrize("name,host,want", [
         ("P4oP3", lexicographic_product(family("path", 4), family("path", 3)),
-         (3, True, (0, 2, 9), 367)),
+         (3, True, (0, 2, 9), 198)),
         # twin-free, but Aut(C4) x Aut(P3) leaves 21 orbits of its 220 sets
         ("C4xP3", cartesian_product(family("cycle", 4), family("path", 3)),
-         (2, True, (0, 2, 3), 152)),
+         (2, True, (0, 2, 3), 109)),
         ("diamondoP2", lexicographic_product(
             Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), family("path", 2)),
-         (4, True, (0, 1, 6), 55)),
-        ("K4", family("complete", 4), (2, True, (0, 1, 2), 5)),
+         (4, True, (0, 1, 6), 25)),
+        ("K4", family("complete", 4), (2, True, (0, 1, 2), 4)),
         # the capped sets ask the fractional bound once their first
-        # back-off fails, not after all the greedy passes (892 nodes before)
+        # back-off fails, not after all the greedy passes (892 nodes before;
+        # 252 when every size rebuilt its passes from scratch)
         ("C5oK3", lexicographic_product(family("cycle", 5), family("complete", 3)),
-         (5, True, (0, 3, 9), 252)),
+         (5, True, (0, 3, 9), 169)),
     ])
     def test_kappa3_work_is_pinned(self, name, host, want):
         got = kappa3(host)
@@ -286,17 +286,53 @@ class TestScanWork:
     def test_kappa4_work_is_pinned(self):
         # the capped set (0, 1, 2, 6) fails its back-offs, then the
         # fractional bound, 3 below the cap 4, settles it (18,196 nodes
-        # when the bound waited for all the greedy passes)
+        # when the bound waited for all the greedy passes, 416 when every
+        # size rebuilt its passes)
         host = lexicographic_product(family("cycle", 4), family("complete", 2))
         got = generalized_connectivity(host, 4)
-        assert (got.value, got.exact, got.witness, got.nodes) == (3, True, (0, 1, 2, 6), 416)
+        assert (got.value, got.exact, got.witness, got.nodes) == (3, True, (0, 1, 2, 6), 366)
 
     def test_packing_work_is_pinned(self):
         # one greedy pass per terminal as the BFS root (18,256 nodes when
-        # the greedy made 48 passes with shuffled BFS orders)
+        # the greedy made 48 passes with shuffled BFS orders, 4,341 when
+        # every size rebuilt its passes)
         host = lexicographic_product(family("cycle", 4), family("complete", 2))
         pack = max_tree_packing(host, (0, 2, 5, 6))
-        assert (pack.size, pack.exact, pack.nodes) == (4, True, 4341)
+        assert (pack.size, pack.exact, pack.nodes) == (4, True, 4328)
+
+    def test_each_pass_builds_each_tree_once(self, monkeypatch):
+        # a pass keeps the trees it took for the next size: the first pass
+        # on this set takes 8 common stars, one per size, where rebuilding
+        # every pass for each size made 1 + 2 + ... + 8 = 36 builds
+        host = lexicographic_product(family("cycle", 4), family("cycle", 4))
+        depth = [0]
+        builds = Counter()
+
+        def inside_extend(method):
+            def wrapped(self, *args, **kwargs):
+                depth[0] += 1
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapped
+
+        def counted(name, method):
+            def wrapped(self, *args, **kwargs):
+                if not depth[0]:
+                    builds[name] += 1
+                return method(self, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(_Search, "_extend", inside_extend(_Search._extend))
+        for name in ("_common_star", "_last_tree"):
+            monkeypatch.setattr(_Search, name, counted(name, getattr(_Search, name)))
+        S = (0, 1, 8)
+        pack = max_tree_packing(host, S)
+        assert (pack.size, pack.exact) == (8, True)
+        # at most one build per tree, plus one miss per root
+        assert sum(builds.values()) <= pack.size + len(S)
+        assert builds == Counter({"_common_star": 8})
 
 
 def _orbits(G, k, gens=None):
@@ -698,15 +734,17 @@ class TestFractionalBound:
         assert time.perf_counter() - start < 1.0
         assert pack.nodes <= 1001 and pack.verified
         # above 8 terminals the bound is not asked: the search settles this
-        # set in 285 nodes, where the pricing rounds took over a million
-        # (3,676 when each of the 12 passes and a last search reran the one
-        # failing search from the empty packing; 13,864 when the greedy
-        # reshuffled its BFS order 48 times)
+        # set in 283 nodes, where the pricing rounds took over a million
+        # (285 when size 2 rebuilt the first pass's tree; 3,676 when each
+        # of the 12 passes and a last search reran the one failing search
+        # from the empty packing; 13,864 when the greedy reshuffled its BFS
+        # order 48 times)
         pack = max_tree_packing(G, S)
-        assert (pack.size, pack.exact, pack.nodes) == (1, True, 285)
-        # the same on C20 with 10 terminals (2,164 nodes with the reruns)
+        assert (pack.size, pack.exact, pack.nodes) == (1, True, 283)
+        # the same on C20 with 10 terminals (199 nodes with the rebuild,
+        # 2,164 with the reruns)
         pack = max_tree_packing(family("cycle", 20), tuple(range(0, 20, 2)))
-        assert (pack.size, pack.exact, pack.nodes) == (1, True, 199)
+        assert (pack.size, pack.exact, pack.nodes) == (1, True, 197)
 
     def test_one_search_from_the_empty_packing_per_size(self, monkeypatch):
         # a back-off that undoes a whole pass is the search from the empty
@@ -771,7 +809,9 @@ class TestSearchControls:
     @pytest.mark.parametrize("name", sorted(DANGEROUS_LIMIT_HOSTS))
     def test_dangerous_limit_against_brute_force(self, name):
         # at most d trees may take an edge joining two terminals; the
-        # construct composer asks for d = 1
+        # construct composer asks for d = 1.  Every cap up to one above the
+        # value stops the search at its own size, each size reusing the
+        # passes of the sizes before it
         G = DANGEROUS_LIMIT_HOSTS[name]
         edges = G.edges()
         for k in (2, 3, 4):
@@ -785,6 +825,10 @@ class TestSearchControls:
                     dangerous = sum(any(u in term and v in term for u, v in t.edges)
                                     for t in pack.trees)
                     assert dangerous <= d
+                    for cap in range(1, want + 2):
+                        capped = max_tree_packing(G, S, cap=cap, dangerous_limit=d)
+                        assert ((capped.size, capped.hit_cap)
+                                == (min(cap, want), cap <= want)), (k, S, d, cap)
 
     def test_terminal_validation(self):
         with pytest.raises(ValueError):
