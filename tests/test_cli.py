@@ -332,8 +332,8 @@ class TestFailFast:
         ["kappa", "--edges", "{empty}"],
         ["bounds", "--pair", "{empty},path:2"],
         ["construct", "--lex", "{split}", "path:2", "--all-triples"],
-    ], ids=["flat-terminal-ids", "max-order-2", "max-order-6", "max-order-3000", "k-1", "random-triples-0",
-            "random-pairs-0", "budget-inf", "kappa-no-vertices",
+    ], ids=["flat-terminal-ids", "max-order-2", "max-order-6", "max-order-3000", "k-1",
+            "random-triples-0", "random-pairs-0", "budget-inf", "kappa-no-vertices",
             "bounds-no-vertices", "construct-disconnected-base"])
     def test_bad_argument_exits_4_before_any_work(self, tmp_path, capsys, argv):
         # {empty} has no vertices; {split} has two components
