@@ -29,7 +29,7 @@ from .certificates import (CertificateError, certificate_set, dump_certificate,
                            vertex_name)
 from .connectivity import vertex_connectivity
 from .construct import ConstructionError, construct_general_lex
-from .graphs import (MAX_ORDER, Graph, family, is_complete, is_connected,
+from .graphs import (Graph, check_product_size, family, is_complete, is_connected,
                      lexicographic_product, min_degree, parse_edge_list)
 from .steiner import DEFAULT_BUDGET, generalized_connectivity, kappa3
 
@@ -279,9 +279,12 @@ def _parse_pair(text: str):
     if len(parts) != 2:
         _fail("pair %r must be 'G,H'" % text)
     G, H = load_graph_arg(parts[0]), load_graph_arg(parts[1])
-    if G.n * H.n > MAX_ORDER:
-        _fail("pair %r: its products of %d vertices are above the limit of %d"
-              % (text, G.n * H.n, MAX_ORDER))
+    try:
+        # the lexicographic product has the cartesian one's order and at
+        # least its edges
+        check_product_size("lexicographic", G, H)
+    except ValueError as exc:
+        _fail("pair %r: %s" % (text, exc))
     return G, H
 
 

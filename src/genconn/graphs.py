@@ -38,7 +38,7 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        _check_order("graph", n)
+        _check_size("graph", n)
         adj = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
@@ -117,23 +117,41 @@ class ProductGraph(Graph):
 # exact oracle settles hosts of tens of vertices, far below this order
 MAX_ORDER = 10_000
 
+# the largest edge count of an edge list, a family or a product, checked
+# before its edge list is built.  A built graph keeps about 140 bytes per
+# edge (200 at the peak of its build), and its first max flow adds a
+# network of about 340 more (500 at its peak): about 0.7 GB at this limit,
+# where complete:10000 would ask for 5 * 10^7 edges and about 35 GB
+MAX_EDGES = 1_000_000
 
-def _check_order(what: str, n: int):
+
+def _check_size(what: str, n: int, edges: int = 0):
     if n > MAX_ORDER:
         raise ValueError("%s of %d vertices is above the limit of %d" % (what, n, MAX_ORDER))
+    if edges > MAX_EDGES:
+        raise ValueError("%s of %d edges is above the limit of %d" % (what, edges, MAX_EDGES))
+
+
+def check_product_size(kind: str, G: Graph, H: Graph):
+    """Fail before the product of G and H of this kind outgrows `MAX_ORDER`
+    or `MAX_EDGES`: |E(G)| m^2 + n |E(H)| edges on a lexicographic product,
+    |E(G)| m + n |E(H)| on a cartesian one, for n = |G| and m = |H|."""
+    if G.n == 0 or H.n == 0:
+        raise ValueError("product factors must be nonempty")
+    m = H.n
+    per_edge = m * m if kind == "lexicographic" else m
+    _check_size("%s product" % kind, G.n * m, G.edge_count * per_edge + G.n * H.edge_count)
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format (first line n, then "u v" lines).
 
     Errors name the offending 1-based line.  A vertex count above
-    `MAX_ORDER` fails at its line.
+    `MAX_ORDER`, or an edge past `MAX_EDGES`, fails at its line.
     """
-    lines = text.splitlines()
-    idx = 0
     n = None
     edges = []
-    for idx, raw in enumerate(lines, start=1):
+    for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -155,8 +173,10 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError("line %d: bad edge %r" % (idx, raw))
-        if n is not None and (not 0 <= u < n or not 0 <= v < n or u == v):
+        if not 0 <= u < n or not 0 <= v < n or u == v:
             raise ValueError("line %d: invalid edge (%d, %d) for order %d" % (idx, u, v, n))
+        if len(edges) == MAX_EDGES:
+            raise ValueError("line %d: more than %d edges" % (idx, MAX_EDGES))
         edges.append((u, v))
     if n is None:
         raise ValueError("empty edge-list input")
@@ -178,7 +198,9 @@ def family(kind: str, size: int) -> Graph:
         raise ValueError("unknown family kind %r" % kind)
     if size < _FAMILY_MIN[kind]:
         raise ValueError("family %s needs size >= %d" % (kind, _FAMILY_MIN[kind]))
-    _check_order("family %s" % kind, size)
+    edges = {"path": size - 1, "cycle": size, "complete": size * (size - 1) // 2,
+             "star": size - 1}[kind]
+    _check_size("family %s" % kind, size, edges)
     if kind == "path":
         return Graph(size, [(i, i + 1) for i in range(size - 1)])
     if kind == "cycle":
@@ -190,9 +212,7 @@ def family(kind: str, size: int) -> Graph:
 
 def lexicographic_product(G: Graph, H: Graph) -> ProductGraph:
     """G o H: (u,v) ~ (u',v') iff uu' in E(G), or u = u' and vv' in E(H)."""
-    if G.n == 0 or H.n == 0:
-        raise ValueError("product factors must be nonempty")
-    _check_order("lexicographic product", G.n * H.n)
+    check_product_size("lexicographic", G, H)
     m = H.n
     edges = []
     for (u, u2) in G.edges():
@@ -207,9 +227,7 @@ def lexicographic_product(G: Graph, H: Graph) -> ProductGraph:
 
 def cartesian_product(G: Graph, H: Graph) -> ProductGraph:
     """G box H: (u,v) ~ (u',v') iff u = u' and vv' in E(H), or v = v' and uu' in E(G)."""
-    if G.n == 0 or H.n == 0:
-        raise ValueError("product factors must be nonempty")
-    _check_order("cartesian product", G.n * H.n)
+    check_product_size("cartesian", G, H)
     m = H.n
     edges = []
     for (u, u2) in G.edges():

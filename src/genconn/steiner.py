@@ -19,9 +19,6 @@ A packing is enumerated once by requiring strictly increasing tree keys.
 A new tree may use the unused vertices and the free terminal edges: the
 unused terminal-terminal edges, or none once `dangerous_limit` trees use
 such an edge (`_Search._free_s_edges`).  Prunes, all sound:
-- residual terminal degree: every remaining tree consumes an edge at each
-  terminal.  Implied by the pair-flow prune below wherever that runs (a
-  pair's flow is at most either residual degree); kept as a cheap filter;
 - internal-vertex supply: a remaining tree either owns an unused internal
   vertex, which no other tree shares, or has no internal vertex at all; then
   it spans S with |S|-1 terminal-terminal edges, each free and owned by it
@@ -34,11 +31,15 @@ such an edge (`_Search._free_s_edges`).  Prunes, all sound:
   edge-disjoint, internally disjoint outside S, and each passage through a
   third terminal z burns two of z's edges; so a max flow with unit caps on
   non-terminals and floor(deg(z)/2) caps on other terminals bounds the
-  remaining packing size.  The search applies `pair_flow_bound`, the same
-  bound it uses on the whole host, to the graph of the residual edges.  A
-  pair whose local connectivity, computed once per graph, reaches
-  min(deg x, deg y) has that value with no capped flow of its own; the
-  docstring of `pair_flow_bound` gives the argument.
+  remaining packing size.  Once a tree is chosen, the search applies
+  `pair_flow_bound`, as on the whole host, to the residual edges on the
+  host's vertex ids (a used vertex is isolated).  It implies the residual
+  terminal degree prune: a pair's bound is at most min(deg_R x, deg_R y),
+  and each edge a chosen tree takes at s leaves the residual graph R.
+  With no tree chosen, the target is at most the host's pair flow bound,
+  itself at most the least terminal degree.  A pair whose local
+  connectivity reaches min(deg x, deg y) needs no capped flow of its own
+  (see `pair_flow_bound`).
 
 One more prune settles a whole set, the fractional packing bound of Jain,
 Mahdian and Salavatipour: for weights w >= 0 on the non-terminal vertices
@@ -266,31 +267,24 @@ _LP_MAX_TERMINALS = 8
 
 class _Candidate:
     """One minimal S-tree as sorted edges, with what applying it consumes:
-    its internal vertices, its terminal-terminal edges, and the edge slots
-    it takes at each terminal.  A tree with a terminal-terminal edge is
-    dangerous."""
+    its internal vertices and its terminal-terminal edges.  A tree with a
+    terminal-terminal edge is dangerous."""
 
-    __slots__ = ("internals", "edges", "s_edges", "term_counts", "dangerous")
+    __slots__ = ("internals", "edges", "s_edges", "dangerous")
 
     def __init__(self, edges, term_set):
         internals = set()
         s_edges = []
-        term_counts = {}
         for u, v in edges:
-            if u in term_set:
-                term_counts[u] = term_counts.get(u, 0) + 1
-                if v in term_set:
-                    s_edges.append((u, v))
-            else:
+            if u not in term_set:
                 internals.add(u)
-            if v in term_set:
-                term_counts[v] = term_counts.get(v, 0) + 1
-            else:
+            elif v in term_set:
+                s_edges.append((u, v))
+            if v not in term_set:
                 internals.add(v)
         self.internals = frozenset(internals)
         self.edges = edges
         self.s_edges = frozenset(s_edges)
-        self.term_counts = term_counts
         self.dangerous = bool(s_edges)
 
 
@@ -314,7 +308,6 @@ class _Search:
     def _reset(self):
         """Every vertex and terminal edge unused again."""
         self.avail = set(self.component) - self.term_set
-        self.consumed = {s: 0 for s in self.S}
         self.used_s_edges = set()
         self.dangerous_used = 0
 
@@ -370,9 +363,7 @@ class _Search:
             if not backoff_first and settled(target):
                 return None
             if target - len(chosen) <= 2:
-                for back in range(1, min(3, len(chosen)) + 1):
-                    if target - (len(chosen) - back) > 3:
-                        break
+                for back in range(1, min(3 - (target - len(chosen)), len(chosen)) + 1):
                     self._undo(chosen[len(chosen) - back])
                     done = self._extend(chosen[:len(chosen) - back], None, target)
                     if done is not None or back == len(chosen):
@@ -394,17 +385,13 @@ class _Search:
             if tree is None:
                 return None
             return list(chosen) + [tree]
-        G = self.G
-        for s in self.S:
-            if G.degree(s) - self.consumed[s] < remaining:
-                return None
         spare = len(self._free_s_edges()) // (len(self.S) - 1)
         if remaining > len(self.avail) + spare:
             return None
         edges = self._residual_edges()
         if remaining * (len(self.S) - 1) > len(edges):
             return None
-        if remaining >= 2 and chosen and self._residual_flow_bound(edges, remaining) < remaining:
+        if chosen and pair_flow_bound(Graph(self.G.n, edges), self.S, remaining) < remaining:
             return None
         for cand in self._trees(last_key):
             self._apply(cand)
@@ -463,15 +450,11 @@ class _Search:
 
     def _apply(self, c):
         self.avail.difference_update(c.internals)
-        for s, k in c.term_counts.items():
-            self.consumed[s] += k
         self.used_s_edges.update(c.s_edges)
         self.dangerous_used += c.dangerous
 
     def _undo(self, c):
         self.avail.update(c.internals)
-        for s, k in c.term_counts.items():
-            self.consumed[s] -= k
         self.used_s_edges.difference_update(c.s_edges)
         self.dangerous_used -= c.dangerous
 
@@ -482,12 +465,6 @@ class _Search:
         blocked = self.s_edges_all - self._free_s_edges()
         return [(u, v) for u in sorted(live) for v in self.G.neighbors(u)
                 if u < v and v in live and (u, v) not in blocked]
-
-    def _residual_flow_bound(self, edges, cutoff):
-        """`pair_flow_bound` on the graph of the residual `edges`."""
-        index = {v: i for i, v in enumerate(sorted(self.avail | self.term_set))}
-        R = Graph(len(index), [(index[u], index[v]) for u, v in edges])
-        return pair_flow_bound(R, [index[s] for s in self.S], cutoff)
 
     # ---- candidate trees ----
 
@@ -551,11 +528,10 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
                      cap=None, dangerous_limit=None, *, _pair_bound=None) -> TreePacking:
     """Maximum packing of internally disjoint S-trees.
 
-    Exact unless the budget runs out (then the incumbent is returned flagged,
-    and exact only when one BFS tree meets an upper bound of 1: the pair
-    flow or count bound, or the fractional bound if it was computed).
     Each size makes one `_Search.find` call, which returns None only when
-    no packing of that size exists (see the module docstring).
+    no packing of that size exists (see the module docstring).  The result
+    is exact iff the last size tried has no packing or the packing meets
+    the upper bound: the pair flow, count or, if computed, fractional bound.
     `cap` stops the search as soon as a packing of that size is found, for
     callers that only need a witness.  `dangerous_limit` restricts how many
     trees may use an edge joining two terminals.  `_pair_bound`, private to
@@ -604,31 +580,29 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
 
         # try packings of size 1, 2, ... up to the bound: the first size that
         # fails settles the value; running out of budget leaves it open.  The
-        # fractional bound can only lower `ub`, so a packing that hits its
-        # cap is flagged exact more often
+        # fractional bound can only lower `ub`, so a packing that stops at
+        # its cap or the budget is flagged exact more often
         best = []
-        exact = True
+        found = best
         hit_cap = False
         for t in range(1, ub + 1):
             try:
                 found = search.find(t, settled, cap is not None)
             except _OutOfBudget:
-                exact = False
                 if t == 1:
                     # one BFS, one step past the budget, settles size 1
                     search.budget = _BIG
                     search._reset()
                     tree = search._last_tree()
                     best = [] if tree is None else [tree]
-                    exact = ub == 1
                 break
             if found is None:
                 break
             best = found
             if cap is not None and t >= cap:
                 hit_cap = True
-                exact = t >= ub
                 break
+        exact = found is None or len(best) >= ub
         edge_sets = [c.edges for c in best]
         nodes = search.nodes
 

@@ -176,9 +176,9 @@ def _class_quotient(n, gens):
 
     Returns `prev`, each class member's next-lower member of its class (a
     set T is class-least when it holds prev[v] for each v in it), and the
-    q of the generators that are no swaps.  On a host without twins, or
-    when some p splits a class, `prev` is empty and `gens` come back as
-    they are."""
+    q of the generators that are no swaps.  On a host without twins every
+    class is a single point, so `prev` is empty and each q is p; when some
+    p splits a class, `prev` is empty and `gens` come back as they are."""
     cell = {v: (v,) for v in range(n)}      # each point's class, sorted
     others = []
     for p in gens:
@@ -188,8 +188,6 @@ def _class_quotient(n, gens):
         elif cell[moved[0]] != cell[moved[1]]:
             merged = tuple(sorted(cell[moved[0]] + cell[moved[1]]))
             cell.update((v, merged) for v in merged)
-    if len(others) == len(gens):
-        return {}, gens
     quotient = []
     for p in others:
         if any(len(cell[p[v]]) != len(cell[v]) or cell[p[v]] != cell[p[cell[v][0]]]

@@ -366,6 +366,23 @@ class TestFailFast:
         assert captured.out == ""
         assert "above the limit of %d" % graphs.MAX_ORDER in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["kappa", "--family", "complete:10000"],
+        ["bounds", "--pair", "complete:100,complete:100"],
+        ["construct", "--lex", "complete:100", "complete:100", "--terminals", "0:0 0:1 0:2"],
+    ], ids=["kappa-family", "bounds-product", "construct-product"])
+    def test_graph_above_the_edge_limit_exits_4(self, capsys, monkeypatch, argv):
+        # about 5 * 10^7 edges each, above graphs.MAX_EDGES = 1,000,000, on
+        # at most MAX_ORDER vertices: no edge list of that size is built
+        def boom(*args, **kwargs):
+            raise AssertionError("an edge list was built")
+
+        monkeypatch.setattr(graphs.Graph, "edges", boom)
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "above the limit of %d" % graphs.MAX_EDGES in captured.err
+
 
 class TestTopLevel:
     def test_no_arguments_is_an_input_error(self):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genconn.graphs import (MAX_ORDER, Graph, ProductGraph, cartesian_product,
+from genconn import graphs
+from genconn.graphs import (MAX_EDGES, MAX_ORDER, Graph, ProductGraph, cartesian_product,
                             family, format_edge_list, is_complete, is_connected,
                             is_path_graph, is_tree, lexicographic_product,
                             min_degree, parse_edge_list, root_paths)
@@ -161,6 +162,48 @@ class TestOrderLimit:
             cartesian_product(P101, P100)
         with pytest.raises(ValueError, match="lexicographic product of 10002 vertices"):
             lexicographic_product(P5001, Graph(2))
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("an edge list was built")
+
+
+class TestEdgeLimit:
+    def test_family_stops_before_its_edges(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_EDGES", 10)
+        assert family("complete", 5).edge_count == 10
+        monkeypatch.setattr(graphs, "Graph", _unreachable)
+        with pytest.raises(ValueError, match="family complete of 15 edges"):
+            family("complete", 6)
+        with pytest.raises(ValueError, match="family cycle of 11 edges"):
+            family("cycle", 11)
+        monkeypatch.setattr(graphs, "MAX_EDGES", MAX_EDGES)
+        with pytest.raises(ValueError, match="family complete of 49995000 edges"):
+            family("complete", MAX_ORDER)
+
+    def test_products_stop_before_their_edges(self, monkeypatch):
+        K100 = family("complete", 100)
+        K5, K6 = family("complete", 5), family("complete", 6)
+        monkeypatch.setattr(Graph, "edges", _unreachable)
+        # 4950 * 100^2 + 100 * 4950 edges on 10,000 vertices
+        with pytest.raises(ValueError, match="lexicographic product of 49995000 edges"):
+            lexicographic_product(K100, K100)
+        # K5 box K5 has 10 * 5 + 5 * 10 = 100 edges, K5 box K6 10 * 6 + 5 * 15
+        monkeypatch.setattr(graphs, "MAX_EDGES", 100)
+        with pytest.raises(ValueError, match="cartesian product of 135 edges"):
+            cartesian_product(K5, K6)
+        # K5 o K5 has 10 * 5^2 + 5 * 10 edges
+        with pytest.raises(ValueError, match="lexicographic product of 300 edges"):
+            lexicographic_product(K5, K5)
+        monkeypatch.undo()
+        assert cartesian_product(K5, K5).edge_count == 100
+
+    def test_edge_list_fails_at_the_line_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_EDGES", 3)
+        assert parse_edge_list("4\n0 1\n0 2\n0 3\n").edge_count == 3
+        monkeypatch.setattr(graphs, "Graph", _unreachable)
+        with pytest.raises(ValueError, match="line 6: more than 3 edges"):
+            parse_edge_list("4\n0 1\n0 2\n# a comment\n0 3\n1 2\n")
 
 
 class TestTreeHelpers:

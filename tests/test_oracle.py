@@ -110,6 +110,18 @@ DANGEROUS_LIMIT_HOSTS = {
 }
 
 
+# search nodes summed over every k-set of a `TestEveryK` host and the three
+# calls made on it (uncapped, cap = value, cap = value + 1), for k = 3, 4, 5
+EVERY_K_NODES = {
+    "K2oP3": (1411, 2981, 4040), "K2xK3": (2353, 820, 2763),
+    "K2xP3": (672, 1579, 1233), "K3oE2": (904, 4585, 14426),
+    "P3oK2": (1023, 5211, 2749), "random-0": (768, 1457, 961),
+    "random-1": (267, 488, 205), "random-2": (102, 134, 9),
+    "random-3": (36, 9, 0), "random-4": (144, 125, 9),
+    "random-5": (2374, 8742, 11140),
+}
+
+
 class TestEveryK:
     """The oracle against the brute force for k = 3, 4 and 5, on every
     terminal set of each host."""
@@ -118,23 +130,30 @@ class TestEveryK:
     def test_every_terminal_set(self, name):
         G = EVERY_K_HOSTS[name]
         edges = G.edges()
+        totals = []
         for k in (3, 4, 5):
             values = []
+            nodes = 0
             for S in combinations(range(G.n), k):
                 pack = max_tree_packing(G, S)
                 assert pack.exact and pack.verified
                 values.append(brute.tree_packing_number(G.n, edges, S))
                 assert pack.size == values[-1], (k, S)
+                nodes += pack.nodes
                 # the capped path: a cap at the value is hit, one above is not
                 if values[-1]:
                     capped = max_tree_packing(G, S, cap=values[-1])
                     assert (capped.size, capped.hit_cap) == (values[-1], True), (k, S)
+                    nodes += capped.nodes
                 above = max_tree_packing(G, S, cap=values[-1] + 1)
                 assert ((above.size, above.exact, above.hit_cap)
                         == (values[-1], True, False)), (k, S)
+                nodes += above.nodes
+            totals.append(nodes)
             got = generalized_connectivity(G, k)
             assert got.exact
             assert got.value == brute.generalized_connectivity(G.n, edges, k) == min(values)
+        assert tuple(totals) == EVERY_K_NODES[name]
 
     def test_reference_enumerators_agree_on_triples(self):
         # two independent enumerations of the minimal S-trees for |S| = 3
