@@ -172,7 +172,9 @@ def _read(doc):
 
 
 def load_certificate(text: str) -> dict:
-    """Parse and structurally validate a certificate document."""
+    """Parse a certificate document and check its envelope only: a JSON
+    object of kind certificate, or a certificate_set whose items are
+    objects.  `reverify` checks each certificate's content."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -184,13 +186,9 @@ def load_certificate(text: str) -> dict:
         items = doc.get("items")
         if not isinstance(items, list):
             raise CertificateError("certificate set misses its items list")
-        for item in items:
-            if not isinstance(item, dict):
-                raise CertificateError("certificate set item is not an object")
-            _read(item)
-    elif kind == CERTIFICATE_KIND:
-        _read(doc)
-    else:
+        if not all(isinstance(item, dict) for item in items):
+            raise CertificateError("certificate set item is not an object")
+    elif kind != CERTIFICATE_KIND:
         raise CertificateError("unknown document kind %r" % (kind,))
     return doc
 
@@ -207,8 +205,8 @@ def reverify(doc) -> Verdict:
     Fails when the recorded trees no longer verify, when the recorded
     verdict disagrees with the fresh one, or when the stats claim a value
     or a tree count other than the number of trees, so any edit to a
-    stored certificate is caught.  A malformed document raises
-    `CertificateError`, as `load_certificate` does.
+    stored certificate is caught.  This is the one check of a
+    certificate's content: a malformed document raises `CertificateError`.
     """
     host, terminals, trees = _read(doc)
     if len(set(terminals)) != len(terminals):

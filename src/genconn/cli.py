@@ -253,16 +253,12 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         _fail("cannot read certificate: %s" % exc)
     try:
-        doc = load_certificate(text)
+        items = iter_certificates(load_certificate(text))
+        verdicts = [reverify(item) for item in items]
     except CertificateError as exc:
         _fail("malformed certificate: %s" % exc)
     bad = 0
-    items = iter_certificates(doc)
-    for i, item in enumerate(items):
-        try:
-            verdict = reverify(item)
-        except CertificateError as exc:
-            _fail("malformed certificate %d: %s" % (i, exc))
+    for i, (item, verdict) in enumerate(zip(items, verdicts)):
         if verdict.ok:
             print("certificate %d: ok (%d trees)" % (i, len(item["trees"])))
         else:

@@ -349,10 +349,11 @@ def construct_tree_lex(P: ProductGraph, S) -> ConstructionResult:
     return construct_general_lex(P, S)
 
 
-def construct_general_lex(P: ProductGraph, S, ell=None,
+def construct_general_lex(P: ProductGraph, S,
                           budget: int = DEFAULT_BUDGET) -> ConstructionResult:
     """At least ell * m verified trees for a connected base graph, ell
-    defaulting to the base oracle's kappa_3(G), and to 1 on a tree.
+    being the base oracle's kappa_3(G), or 1 on a tree; a disconnected
+    base (ell = 0) is rejected.
 
     One family of m trees laid on each base tree that `_base_trees` picks;
     for three fibers these come from an exact base packing restricted to at
@@ -367,9 +368,9 @@ def construct_general_lex(P: ProductGraph, S, ell=None,
     notes = []
     exact = True
 
-    if ell is None and is_tree(G):
+    if is_tree(G):
         ell = 1
-    elif ell is None:
+    else:
         base = factor_kappa3(G, budget)
         ell, exact = base.value, base.exact
         if not exact:

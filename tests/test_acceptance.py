@@ -123,7 +123,7 @@ def test_criterion_06_general_construction_meets_the_floor():
         P = lex(G, H)
         want = ell * H.n
         for S in combinations(range(P.n), 3):
-            result = construct_general_lex(P, S, ell=ell)
+            result = construct_general_lex(P, S)
             assert result.size >= want
             assert verify_packing(P, sorted(S), result.trees).ok
             total += 1

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from genconn import certificates
 from genconn.certificates import (CertificateError, certificate_set,
                                   dump_certificate, load_certificate,
                                   packing_certificate, parse_vertex,
@@ -136,6 +137,62 @@ class TestTampering:
         assert not verdict.ok
 
 
+_GONE = object()
+
+
+def _edit(doc, path, value=_GONE):
+    """Set the field of doc at path to value, or delete it; returns doc."""
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if value is _GONE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+# each damage to a plain certificate, and the error it must raise
+MALFORMED = {
+    "no_stats": (lambda d: _edit(d, ["stats"]), "misses field 'stats'"),
+    "one_name_edge": (lambda d: _edit(d, ["trees", 0, "edges", 0], ["0"]),
+                      "edge .* is not a pair"),
+    "factor_not_object": (lambda d: _edit(d, ["host", "factors", 0], 5),
+                          "factor entry is not an object"),
+    "negative_order": (lambda d: _edit(d, ["host", "factors", 0, "order"], -1),
+                       "order must be a nonnegative integer"),
+    "factor_edges_not_list": (lambda d: _edit(d, ["host", "factors", 0, "edges"], "0 1"),
+                              "factor edges must be a list"),
+    "factor_edge_one_id": (lambda d: _edit(d, ["host", "factors", 0, "edges", 0], [0]),
+                           "is not a pair of ids"),
+    "host_not_object": (lambda d: _edit(d, ["host"], []), "host is not an object"),
+    "factors_not_list": (lambda d: _edit(d, ["host", "factors"], {}),
+                         "host factors must be a list"),
+    "plain_host_two_factors": (
+        lambda d: _edit(d, ["host", "factors"], [{"order": 1, "edges": []}] * 2),
+        "plain host takes exactly one factor"),
+    "product_host_one_factor": (lambda d: _edit(d, ["host", "product_kind"], "cartesian"),
+                                "product host takes exactly two factors"),
+    "name_not_string": (lambda d: _edit(d, ["terminals", 0], 0), "is not a string"),
+    "name_out_of_range": (lambda d: _edit(d, ["terminals", 0], "99"),
+                          "vertex name '99' out of range"),
+    "no_terminals": (lambda d: _edit(d, ["terminals"], []),
+                     "terminals must be a nonempty list"),
+    "trees_not_list": (lambda d: _edit(d, ["trees"], {}), "trees must be a list"),
+    "tree_not_object": (lambda d: _edit(d, ["trees", 0], []), "tree 0 is malformed"),
+    "provenance_not_text": (lambda d: _edit(d, ["trees", 0, "provenance"], 1),
+                            "tree 0 provenance is not text"),
+    "verdict_without_flag": (lambda d: _edit(d, ["verdict", "ok"], "yes"),
+                             "verdict must record an ok flag"),
+    "stats_not_object": (lambda d: _edit(d, ["stats"], []), "stats must be an object"),
+    "set_without_items": (lambda d: _edit(d, ["kind"], "certificate_set"),
+                          "certificate set misses its items list"),
+    "set_item_not_object": (lambda d: certificate_set([d, 1]),
+                            "certificate set item is not an object"),
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("text", [
         "", "not json", "[]", "{}",
@@ -144,19 +201,19 @@ class TestMalformedInput:
     ])
     def test_rejected_with_certificate_error(self, text):
         with pytest.raises(CertificateError):
-            load_certificate(text)
+            reverify(load_certificate(text))
 
     def test_unknown_product_kind(self):
         _, _, doc = product_doc()
         doc["host"]["product_kind"] = "tensor"
         with pytest.raises(CertificateError):
-            load_certificate(dump_certificate(doc))
+            reverify(load_certificate(dump_certificate(doc)))
 
     def test_missing_trees_key(self):
         _, _, doc = product_doc()
         del doc["trees"]
         with pytest.raises(CertificateError):
-            load_certificate(dump_certificate(doc))
+            reverify(load_certificate(dump_certificate(doc)))
 
     def test_repeated_terminal_rejected_at_reverify(self):
         _, _, doc = product_doc()
@@ -168,23 +225,30 @@ class TestMalformedInput:
         _, doc = plain_doc()
         doc["host"]["factors"][0] = {"order": MAX_ORDER + 1, "edges": []}
         with pytest.raises(CertificateError, match="above the limit"):
-            load_certificate(dump_certificate(doc))
+            reverify(load_certificate(dump_certificate(doc)))
 
     def test_product_above_the_order_limit(self):
         _, _, doc = product_doc()
         doc["host"] = {"product_kind": "cartesian",
                        "factors": [{"order": 101, "edges": []}, {"order": 100, "edges": []}]}
         with pytest.raises(CertificateError, match="cartesian product of 10100 vertices"):
-            load_certificate(dump_certificate(doc))
+            reverify(load_certificate(dump_certificate(doc)))
 
-    @pytest.mark.parametrize("damage", ["no_stats", "one_name_edge"])
+    @pytest.mark.parametrize("damage", list(MALFORMED))
     def test_reverify_raises_on_a_malformed_document(self, damage):
-        # an in-memory document skips load_certificate, so reverify must
-        # validate it itself
-        _, _, doc = product_doc()
-        if damage == "no_stats":
-            del doc["stats"]
-        else:
-            doc["trees"][0]["edges"][0] = ["0:0"]
-        with pytest.raises(CertificateError):
-            reverify(doc)
+        # load_certificate checks only the envelope (the two set cases), so
+        # reverify is the one guard on the rest of a certificate's content
+        _, doc = plain_doc()
+        edit, message = MALFORMED[damage]
+        text = dump_certificate(edit(doc))
+        with pytest.raises(CertificateError, match=message):
+            reverify(load_certificate(text))
+
+    def test_each_certificate_is_read_once(self, monkeypatch):
+        calls = []
+        read = certificates._read
+        monkeypatch.setattr(certificates, "_read",
+                            lambda doc: calls.append(doc) or read(doc))
+        _, doc = plain_doc()
+        assert reverify(load_certificate(dump_certificate(doc))).ok
+        assert len(calls) == 1

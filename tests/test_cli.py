@@ -275,6 +275,19 @@ class TestVerify:
         assert run(["verify", str(cert)]) == 4
         assert "above the limit" in capsys.readouterr().err
 
+    def test_malformed_set_item_exits_4_before_any_verdict(self, tmp_path, capsys):
+        out = self.make_cert(tmp_path)
+        good = json.loads(out.read_text())
+        bad = json.loads(out.read_text())
+        bad["trees"][0]["edges"][0] = ["0:0"]
+        out.write_text(json.dumps({"kind": "certificate_set", "items": [good, bad]}))
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: malformed certificate: "
+                                "tree 0 edge ['0:0'] is not a pair\n")
+
     def test_malformed_json_exits_4(self, tmp_path):
         f = tmp_path / "junk.json"
         f.write_text("{not json")

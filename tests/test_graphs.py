@@ -82,6 +82,18 @@ class TestEdgeListIO:
             parse_edge_list("3\n0 1\n0 x\n")
         assert "3" in str(err.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("# two tokens\n3 4\n0 1\n", "line 2: expected vertex count"),
+        ("three\n", "line 1: bad vertex count"),
+        ("3\n0 1 2\n", "line 2: expected 'u v'"),
+        ("3\n\n0 3\n", r"line 3: invalid edge \(0, 3\)"),
+        ("3\n0 1\n1 1\n", r"line 3: invalid edge \(1, 1\)"),
+        ("# nothing but a comment\n", "empty edge-list input"),
+    ])
+    def test_each_error_names_its_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_edge_list(text)
+
     def test_vertex_count_at_the_limit_parses(self):
         assert parse_edge_list("# header\n%d\n0 1\n" % MAX_ORDER).n == MAX_ORDER
         with pytest.raises(ValueError, match="line 2: vertex count"):

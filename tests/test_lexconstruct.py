@@ -152,12 +152,6 @@ class TestGeneralBase:
                 assert verify_packing(P, sorted(S), result.trees).ok
                 assert result.fallbacks == 0
 
-    def test_explicit_ell_overrides_the_oracle(self):
-        P = lex(family("cycle", 4), family("complete", 2))
-        S = (0, 2, 4)
-        result = construct_general_lex(P, S, ell=1)
-        assert result.size >= 2
-
     def test_fallback_is_tagged_and_counted(self):
         # diamond base: S hitting both degree-3 vertices plus a degree-2
         # vertex admits no base packing with at most one terminal-edge tree,
@@ -174,9 +168,10 @@ class TestGeneralBase:
         assert any("fallback" in note for note in result.notes)
 
     def test_ell_below_one_rejected(self):
-        P = lex(family("cycle", 4), family("complete", 2))
-        with pytest.raises(ConstructionError):
-            construct_general_lex(P, (0, 2, 4), ell=0)
+        # a disconnected base has kappa_3 = 0, so no family size to meet
+        P = lex(Graph(4, [(0, 1), (2, 3)]), family("complete", 2))
+        with pytest.raises(ConstructionError, match="at least 1"):
+            construct_general_lex(P, (0, 2, 4))
 
 
 class TestVerifiedOnce:
@@ -226,10 +221,9 @@ class TestLaneLift:
                             (("cycle", 6), ("complete", 2))]:
             G = family(*base)
             P = lex(G, family(*fiber))
-            ell = None if base[0] == "star" else int(kappa3(G))
             for S in combinations(range(P.n), 3):
                 terminal_fibers = {P.unflatten(s)[0] for s in S}
-                for t in construct_general_lex(P, S, ell=ell).trees:
+                for t in construct_general_lex(P, S).trees:
                     if t.provenance not in self.SAFE:
                         continue
                     seen.add(t.provenance)

@@ -220,6 +220,10 @@ class TestConventions:
         with pytest.raises(ValueError):
             generalized_connectivity(family("path", 3), 1)
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            generalized_connectivity(Graph(0), 3)
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_must_be_positive(self, budget):
         # a budget that settles no set would leave kappa_k without a value
@@ -854,6 +858,8 @@ class TestSearchControls:
             max_tree_packing(family("path", 3), (0,))
         with pytest.raises(ValueError):
             max_tree_packing(family("path", 3), (0, 7))
+        with pytest.raises(ValueError, match="cap must be positive"):
+            max_tree_packing(family("path", 3), (0, 2), cap=0)
 
 
 class TestVerifier:
