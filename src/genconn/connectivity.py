@@ -6,12 +6,18 @@ vertex), and each graph edge uv becomes the two arcs u_out -> v_in and
 v_out -> u_in with capacity 1.  Augmenting paths are found by BFS in
 ascending-id arc order, so path systems and connectivity values are
 deterministic for a given input graph.
+
+BFS augmentation takes its paths in non-decreasing length (Edmonds and
+Karp, 1972), so each flow is seeded with the paths BFS would take first,
+the s-t edge and then s-w-t through each free common neighbour w in
+ascending w, and runs BFS only after them; the flow is the same.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
 from .graphs import Graph, is_complete, is_connected
 
@@ -25,7 +31,14 @@ class _SplitFlowNet:
     lists; arcs[i] and arcs[i^1] are a residual pair, and arc 2v is the
     split arc of vertex v.  The arcs are the same for every flow on a graph,
     so they are built once and kept in the graph's `_net` slot; a flow
-    copies only the base capacities and sets the split arcs it caps."""
+    copies only the base capacities and sets the split arcs it caps.
+
+    `_seed` takes the one- and two-edge paths before the first BFS, in the
+    order BFS would: it scans s_out's arcs in ascending head, so it reaches
+    t_in first by the s-t arc, then by the least common neighbour w whose
+    split arc has capacity left.  The reverse arcs those paths open start
+    at t_in or lead back to s_out or a w_in, so none opens another such
+    path, and the seed leaves the capacities the BFS passes would."""
 
     def __init__(self, G: Graph, s: int, t: int, caps=None, limit=None):
         if G._net is None:
@@ -49,7 +62,27 @@ class _SplitFlowNet:
                 cap[2 * v] = _BIG
         self.s, self.t = s, t
         self.value = 0
+        self._seed(G, limit)
         while (limit is None or self.value < limit) and self._augment():
+            self.value += 1
+
+    def _seed(self, G, limit):
+        """Augment along the s-t arc, then s-w-t for each common neighbour
+        w with split capacity left, in ascending w, up to `limit` units.
+        head[2v+1] lists v_out's reverse split arc, then its arcs to its
+        neighbours in ascending order."""
+        s, t, head, cap = self.s, self.t, self.head, self.cap
+        adj, nbrs = G._adj, G.neighbors(s)
+        out = head[2 * s + 1]
+        direct = [(out[1 + bisect_left(nbrs, t)],)] if t in adj[s] else []
+        two = ((out[1 + j], 2 * w, head[2 * w + 1][1 + bisect_left(G.neighbors(w), t)])
+               for j, w in enumerate(nbrs) if t in adj[w] and cap[2 * w] > 0)
+        for path in chain(direct, two):
+            if limit is not None and self.value >= limit:
+                break
+            for i in path:
+                cap[i] -= 1
+                cap[i ^ 1] += 1
             self.value += 1
 
     def _augment(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+import genconn.connectivity as connectivity
 from genconn.connectivity import (_SplitFlowNet, capped_flow_value,
                                   disjoint_paths, local_connectivity,
                                   vertex_connectivity)
@@ -185,3 +186,96 @@ class TestFlowNetReuse:
         shared = Graph(P.n, P.edges())
         for call in calls:
             assert _run(shared, call) == _run(Graph(P.n, P.edges()), call), call
+
+
+def _seed_calls(G):
+    """Flows that meet every case of the seed on G: with and without the
+    s-t edge, a cap-0 common neighbour, caps on the endpoints, and limits
+    0, 1 and one reached inside the seed."""
+    calls = []
+    for x in range(G.n):
+        for y in range(x + 1, G.n):
+            common = sorted(set(G.neighbors(x)) & set(G.neighbors(y)))
+            seeded = G.has_edge(x, y) + len(common)
+            calls += [("value", x, y, None, 0), ("paths", x, y, None, 1),
+                      ("paths", y, x, {x: 0, y: 1}, seeded // 2)]
+            if common:
+                calls += [("value", x, y, {common[0]: 0}, None),
+                          ("paths", y, x, {common[-1]: 0, x: 2}, seeded - 1)]
+    return calls
+
+
+def _seed_cases(G, call):
+    """The seed cases one flow call meets."""
+    _, s, t, caps, limit = call
+    caps = caps or {}
+    common = set(G.neighbors(s)) & set(G.neighbors(t))
+    seeded = G.has_edge(s, t) + sum(caps.get(w, 1) > 0 for w in common)
+    cases = {"edge" if G.has_edge(s, t) else "no edge"}
+    if any(caps.get(w, 1) == 0 for w in common):
+        cases.add("cap-0 common neighbour")
+    if s in caps or t in caps:
+        cases.add("endpoint cap")
+    if limit in (0, 1):
+        cases.add("limit %d" % limit)
+    if limit is not None and 0 < limit < seeded:
+        cases.add("limit inside the seed")
+    return cases
+
+
+SEED_HOSTS = {
+    "K5": family("complete", 5),
+    "C6": family("cycle", 6),
+    "petersen": petersen(),
+    "random": Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                        if random.Random(u * 9 + v).random() < 0.5]),
+    "C4oP2": lexicographic_product(family("cycle", 4), family("path", 2)),
+    "P3oK3": lexicographic_product(family("path", 3), family("complete", 3)),
+}
+
+
+class TestSeed:
+    """`_SplitFlowNet._seed` takes the one- and two-edge paths BFS would
+    take first, so a flow leaves the same residual capacities, value and
+    paths with the seed as with BFS alone."""
+
+    @staticmethod
+    def _nets(monkeypatch, G, call, seeded):
+        nets = []
+
+        class Recorded(_SplitFlowNet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nets.append(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(connectivity, "_SplitFlowNet", Recorded)
+            if not seeded:
+                m.setattr(_SplitFlowNet, "_seed", lambda self, G, limit: None)
+            result = _run(G, call)
+        return result, [(net.value, net.cap, net.paths()) for net in nets]
+
+    @pytest.mark.parametrize("name", sorted(SEED_HOSTS))
+    def test_seeded_flows_match_bfs_alone(self, monkeypatch, name):
+        G = SEED_HOSTS[name]
+        for call in _flow_calls(G.n) + _seed_calls(G):
+            seeded = self._nets(monkeypatch, G, call, True)
+            assert seeded[1] or call == ("kappa",), call    # K5 runs no flow
+            assert seeded == self._nets(monkeypatch, G, call, False), call
+
+    def test_every_seed_case_is_met(self):
+        met = {case for G in SEED_HOSTS.values() for call in _seed_calls(G)
+               for case in _seed_cases(G, call)}
+        assert met == {"edge", "no edge", "cap-0 common neighbour", "endpoint cap",
+                       "limit 0", "limit 1", "limit inside the seed"}
+
+    def test_a_dense_pair_runs_no_bfs(self, monkeypatch):
+        # K_300 less the edge 0-1: its one candidate pair has 298 common
+        # neighbours, all seeded, so the flow reaches its limit with no BFS
+        # (298 BFS passes before the seed)
+        passes = []
+        augment = _SplitFlowNet._augment
+        monkeypatch.setattr(_SplitFlowNet, "_augment",
+                            lambda self: passes.append(1) or augment(self))
+        G = family("complete", 300).without_edge(0, 1)
+        assert (vertex_connectivity(G), len(passes)) == (298, 0)

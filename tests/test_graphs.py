@@ -153,6 +153,34 @@ class TestProducts:
         assert Q.kind == "cartesian"
 
 
+class TestArgumentChecks:
+    """Each check on a caller's argument fails with its own message."""
+
+    def test_a_negative_vertex_count_is_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            Graph(-1)
+
+    def test_removing_an_absent_edge_is_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) not present"):
+            family("path", 3).without_edge(0, 2)
+
+    def test_unflatten_out_of_range_is_rejected(self):
+        P = lexicographic_product(family("path", 2), family("path", 3))
+        for p in (-1, 6):
+            with pytest.raises(ValueError, match="flat index %d out of range" % p):
+                P.unflatten(p)
+
+    @pytest.mark.parametrize("product", [lexicographic_product, cartesian_product])
+    def test_a_product_with_an_empty_factor_is_rejected(self, product):
+        for G, H in ((Graph(0), family("path", 2)), (family("path", 2), Graph(0))):
+            with pytest.raises(ValueError, match="product factors must be nonempty"):
+                product(G, H)
+
+    def test_the_empty_graph_has_no_minimum_degree(self):
+        with pytest.raises(ValueError, match="empty graph has no minimum degree"):
+            min_degree(Graph(0))
+
+
 class TestOrderLimit:
     def test_a_graph_above_the_limit_is_rejected(self):
         assert Graph(MAX_ORDER).n == MAX_ORDER

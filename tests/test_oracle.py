@@ -286,6 +286,18 @@ class TestScanWork:
         assert kappa3(host).value == 3
         assert (len(calls), len(host._pair_kappa)) == (106, 42)
 
+    def test_bfs_passes_are_pinned(self, monkeypatch):
+        # every flow takes its one- and two-edge paths with no BFS, so
+        # kappa3(P4oP3) runs 154 augmenting BFS passes (456 before the seed)
+        from genconn.connectivity import _SplitFlowNet
+        host = lexicographic_product(family("path", 4), family("path", 3))
+        passes = []
+        augment = _SplitFlowNet._augment
+        monkeypatch.setattr(_SplitFlowNet, "_augment",
+                            lambda self: passes.append(1) or augment(self))
+        assert kappa3(host).value == 3
+        assert len(passes) == 154
+
     @pytest.mark.parametrize("name,host,want", [
         ("P4oP3", lexicographic_product(family("path", 4), family("path", 3)),
          (3, True, (0, 2, 9), 198)),
