@@ -8,6 +8,17 @@ x_T over the S-trees T subject to at most one unit of each such element.
 and `min_weight_tree`, the Dreyfus-Wagner dynamic program (Networks 1,
 1971), prices it exactly.
 
+The inner loops touch only what they change, and each yields bit for bit
+the floats of the plain loop over every entry:
+- a pivot subtracts f * b from a row, and from the reduced costs, only
+  where the pivot row's entry b is nonzero; elsewhere a - f * 0.0 is a up
+  to the sign of a zero, which no comparison, sum or rounding here reads;
+- a new column's entries are `sum(map(...))` over its resources' slack
+  columns: the same floats added in the same order;
+- a subset merge forms a[v] + b[v] - vw[v] for every v with `map` and
+  visits only the v where that is strictly below c[v], the only v a loop
+  over every vertex would change.
+
 `steiner.max_tree_packing` imports this module the first time it asks
 for the bound, so `import genconn` does not compile it.
 """
@@ -15,6 +26,8 @@ for the bound, so `import genconn` does not compile it.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import compress
+from operator import add, lt, sub as subtract
 
 from .graphs import Graph, root_paths
 
@@ -58,12 +71,10 @@ def min_weight_tree(G: Graph, S, vw, ew, tick):
             while sub:
                 if sub & low:
                     tick()
-                    a, b = cost[sub], cost[D ^ sub]
-                    for v in range(n):
-                        x = a[v] + b[v] - vw[v]
-                        if x < c[v]:
-                            c[v] = x
-                            h[v] = sub
+                    xs = list(map(subtract, map(add, cost[sub], cost[D ^ sub]), vw))
+                    for v in compress(range(n), map(lt, xs, c)):
+                        c[v] = xs[v]
+                        h[v] = sub
                 sub = (sub - 1) & D
         heap = [(x, v) for v, x in enumerate(c) if x < inf]
         heapify(heap)
@@ -116,7 +127,8 @@ def fractional_bound(G: Graph, S, target, trees, tick) -> int:
     Column generation picks w.  The restricted master LP, maximise the sum
     of x_T over the trees T found so far subject to at most one unit of
     each vertex and edge, starts from the disjoint `trees` and is solved by
-    a dense tableau simplex in floats with Bland's rule; x = 0 is feasible,
+    a tableau simplex in floats with Bland's rule, its rows kept in full
+    and each pivot applied at the pivot row's nonzeros; x = 0 is feasible,
     so no phase 1 is needed.  Its duals, clipped at 0 and rounded to
     integers, are the next w, priced exactly.  The float work only proposes
     w: error can loosen the bound but not break it.  It stops once no tree
@@ -150,8 +162,8 @@ def fractional_bound(G: Graph, S, target, trees, tick) -> int:
                 d.append(0.0)
         cols = [slack[rows[r]] for r in res]
         for row in tab:
-            row.append(sum(row[j] for j in cols))
-        d.append(sum(d[j] for j in cols) - 1.0)
+            row.append(sum(map(row.__getitem__, cols)))
+        d.append(sum(map(d.__getitem__, cols)) - 1.0)
 
     def solve():
         while True:
@@ -174,13 +186,16 @@ def fractional_bound(G: Graph, S, target, trees, tick) -> int:
             p = prow[enter]
             prow = tab[out] = [a / p for a in prow]
             rhs[out] /= p
+            nonzeros = [(j, b) for j, b in enumerate(prow) if b]
             for i, row in enumerate(tab):
                 f = row[enter]
                 if i != out and f:
-                    tab[i] = [a - f * b for a, b in zip(row, prow)]
+                    for j, b in nonzeros:
+                        row[j] -= f * b
                     rhs[i] -= f * rhs[out]
             f = d[enter]
-            d[:] = [a - f * b for a, b in zip(d, prow)]
+            for j, b in nonzeros:
+                d[j] -= f * b
             basis[out] = enter
 
     for t in trees:

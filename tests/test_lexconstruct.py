@@ -174,6 +174,63 @@ class TestGeneralBase:
             construct_general_lex(P, (0, 2, 4))
 
 
+class TestInternalChecks:
+    """The checks no sound input reaches, each reached through a patched
+    dependency or a degenerate inner graph."""
+
+    def test_pattern_family_of_the_wrong_size(self, monkeypatch):
+        # x = (0, 0) and y = (0, 2) share fiber 0, z = (1, 2) is above y's
+        # lane, and lanes 0 and 2 of P3 are not adjacent: the family takes
+        # a neighbour of lane 2 for its far tree, here patched to lane 0,
+        # which the pair already uses
+        P = lex(family("path", 2), family("path", 3))
+        monkeypatch.setattr(construct, "_h_neighbor", lambda H, h: 0)
+        with pytest.raises(ConstructionError,
+                           match="^pair_adjacent family produced 4 trees, wanted 3$"):
+            construct._adjacent_pair_family(P, 0, 2, 5)
+
+    def test_adjacent_pair_family_without_an_inner_edge(self):
+        # three distinct lanes of an edgeless inner graph of order 3
+        P = lex(family("path", 2), Graph(3, []))
+        with pytest.raises(ConstructionError,
+                           match="^no adjacency available for the adjacent-pair family$"):
+            construct._adjacent_pair_family(P, 0, 1, 5)
+
+    def test_one_fiber_with_too_few_neighbours(self):
+        # ell comes from kappa_3 of the base, which no fiber's degree is
+        # below; here it is one more than the two neighbours of fiber 1
+        P = lex(family("path", 3), family("path", 3))
+        S = (P.flatten(1, 0), P.flatten(1, 1), P.flatten(1, 2))
+        with pytest.raises(ConstructionError,
+                           match="^fiber degree supports only 6 trees of 9 wanted$"):
+            construct._base_trees(P, S, 3, steiner.DEFAULT_BUDGET)
+
+    def test_two_fibers_with_too_few_corridors(self, monkeypatch):
+        # the cycle C4 has two disjoint corridors between any two fibers;
+        # the patched flow returns one
+        P = lex(family("cycle", 4), family("path", 3))
+        S = (P.flatten(0, 0), P.flatten(0, 1), P.flatten(2, 0))
+        monkeypatch.setattr(construct, "disjoint_paths",
+                            lambda G, x, y, want=None: [[x, 1, y]])
+        with pytest.raises(ConstructionError,
+                           match="^base graph has only 1 disjoint corridors of 2 wanted$"):
+            construct._base_trees(P, S, 2, steiner.DEFAULT_BUDGET)
+
+    def test_a_family_that_fails_verification_falls_back(self, monkeypatch):
+        # the builder catches its own ConstructionError, so the check shows
+        # as a note, and the oracle's family, verified inside
+        # max_tree_packing, replaces the rejected one
+        P = lex(family("path", 3), family("path", 3))
+        S = (0, 4, 8)
+        monkeypatch.setattr(construct, "verify_packing",
+                            lambda P, S, trees: steiner.Verdict(False, "stub rejection"))
+        result = construct_general_lex(P, S)
+        assert ("pattern construction failed: constructed family fails verification: "
+                "stub rejection") in result.notes
+        assert_family(P, S, result, 3)
+        assert result.fallbacks == 3
+
+
 class TestVerifiedOnce:
     """Each builder runs the packing verifier once on the family it returns."""
 

@@ -728,6 +728,10 @@ class TestFractionalBound:
             for S in _joined_sets(G, k):
                 assert _lp_floor(G, S) >= brute.tree_packing_number(G.n, edges, S), (k, S)
 
+    # the ticks, one per round, pivot and subset merge, pin the work: a
+    # kernel that moves a pivot, a round or a merge changes them
+    TICKS = {"C5oK3": 253, "K4oC4": 83, "C4oK2": 587, "C20": 39, "K4xK4": 270}
+
     @pytest.mark.parametrize("name,host,S,floor", [
         ("C5oK3", lexicographic_product(family("cycle", 5), family("complete", 3)),
          (0, 3, 9), 5),                  # LP 11/2
@@ -736,9 +740,13 @@ class TestFractionalBound:
         ("C4oK2", lexicographic_product(family("cycle", 4), family("complete", 2)),
          (0, 1, 2, 3, 4), 3),            # LP 7/2
         ("C20", family("cycle", 20), (0, 5, 10, 15), 1),       # LP 4/3
+        ("K4xK4", cartesian_product(family("complete", 4), family("complete", 4)),
+         (0, 5, 10), 5),
     ])
     def test_floors_are_pinned(self, name, host, S, floor):
-        assert _lp_floor(host, S) == floor, name
+        run = []
+        assert fractional_bound(host, S, 0, [], lambda: run.append(1)) == floor, name
+        assert len(run) == self.TICKS[name], name
 
     def test_floor_of_the_exhausted_cartesian_benchmark_host(self):
         # cart-sweep09 of the benchmark: LP 5/2 at the set (3, 7, 11)
@@ -928,6 +936,16 @@ class TestVerifier:
         G = self.host()
         v = verify_packing(G, (0, 2, G.n), [[(0, 1), (1, 2)]])
         assert not v.ok and v.reason == "terminal %d not a vertex of the host" % G.n
+
+    def test_a_rejected_packing_is_an_internal_error(self, monkeypatch):
+        # max_tree_packing verifies what it returns: a rejected packing
+        # stops the call instead of coming back unverified
+        import genconn.steiner as steiner
+        monkeypatch.setattr(steiner, "verify_packing",
+                            lambda G, S, trees: steiner.Verdict(False, "stub rejection"))
+        with pytest.raises(AssertionError,
+                           match="^internal error: packing failed verification: stub rejection$"):
+            max_tree_packing(self.host(), (0, 2, 3))
 
     def test_forest_with_one_edge_fewer_than_vertices(self):
         # a triangle plus a separate edge: 4 edges on 5 vertices, so only

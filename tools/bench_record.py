@@ -12,6 +12,10 @@ same file:
     python3 tools/bench_record.py --block parent --out BENCH_8.json   # parent
     python3 tools/bench_record.py --block change --out BENCH_8.json   # change
 
+Each run gets a fresh, empty bytecode cache (``PYTHONPYCACHEPREFIX``), so
+``setup_s`` never reads a ``__pycache__`` left in the checkout by earlier
+runs, and a working checkout's block compares with a fresh clone's.
+
 Standard library only.  A block from a machine with another CPU model or
 processor count is refused, because its times would not compare with the
 other block's.
@@ -21,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,12 +50,15 @@ def git_commit(root):
 
 
 def run_workload(root, workload):
-    """One untraced benchmark run; returns its report."""
+    """One untraced benchmark run, with its own empty bytecode cache;
+    returns its report."""
     path = root / ".perfbench_out" / ("%s-seed%d-trace0.json" % (workload, SEED))
     path.unlink(missing_ok=True)    # never read an earlier run's report
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
-    subprocess.run(cmd, cwd=root, check=False, stdout=subprocess.DEVNULL)
+    with tempfile.TemporaryDirectory(prefix="bench_record-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        subprocess.run(cmd, cwd=root, check=False, stdout=subprocess.DEVNULL, env=env)
     if not path.exists():
         raise SystemExit("bench_record: %s wrote no report" % workload)
     with open(path, encoding="utf-8") as fh:
