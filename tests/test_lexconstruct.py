@@ -175,8 +175,9 @@ class TestGeneralBase:
 
 
 class TestInternalChecks:
-    """The checks no sound input reaches, each reached through a patched
-    dependency or a degenerate inner graph."""
+    """The checks the builders make on their own work, each reached through
+    a patched dependency, an argument no caller passes, or an edgeless
+    inner graph."""
 
     def test_pattern_family_of_the_wrong_size(self, monkeypatch):
         # x = (0, 0) and y = (0, 2) share fiber 0, z = (1, 2) is above y's
