@@ -110,7 +110,7 @@ def min_weight_tree(G: Graph, S, vw, ew, tick):
             if v not in parent:
                 parent[v] = u
                 queue.append(v)
-    return cost[full][root], root_paths(parent, root, S)
+    return cost[full][root], root_paths(parent, root, S)[0]
 
 
 def fractional_bound(G: Graph, S, target, trees, tick) -> int:

@@ -263,8 +263,9 @@ def connected_component(G: Graph, start: int) -> set:
 
 def root_paths(parent: dict, root: int, S) -> tuple | None:
     """The union of the paths from each vertex of S to `root` in a tree
-    given by `parent` (root's entry None), as sorted edges (u, v), u < v;
-    None when a vertex of S is not in the tree.  Its leaves lie in S."""
+    given by `parent` (root's entry None): its sorted edges (u, v), u < v,
+    and its vertex set; None when a vertex of S is not in the tree.  Its
+    leaves lie in S."""
     edges = []
     verts = {root}
     for v in S:
@@ -275,7 +276,7 @@ def root_paths(parent: dict, root: int, S) -> tuple | None:
             edges.append((u, v) if u < v else (v, u))
             verts.add(v)
             v = u
-    return tuple(sorted(edges))
+    return tuple(sorted(edges)), verts
 
 
 def is_tree(G: Graph) -> bool:

@@ -61,6 +61,14 @@ whole pass is that search, and its None ends t.  A pass is kept across
 sizes: its i-th tree depends on the trees before it alone, never on t, so
 the pass for t + 1 extends the pass for t and no tree is built twice.
 
+A greedy tree, and the last tree of a search, is a BFS tree of the unused
+vertices and free terminal edges, cut down to the terminals' root paths
+(`_Search._last_tree`).  Its BFS stops once every terminal has a parent:
+a parent is fixed when BFS first reaches a vertex, and the terminals'
+ancestors were all reached before them, so going on would give the same
+tree.  Every candidate tree takes its vertex set from what built it, the
+leg DFS, the BFS or the common star, so none is scanned again.
+
 The budget counts search steps, each step of the leg DFS among them, and
 the fractional bound's rounds, pivots and subset merges; running out
 returns the incumbent flagged non-exact instead of raising.  A set that
@@ -146,50 +154,62 @@ class _OutOfBudget(Exception):
 
 def _tree_edges(t):
     if isinstance(t, SteinerTree):
-        return list(t.edges)
+        return t.edges
     return [tuple(sorted((int(u), int(v)))) for (u, v) in t]
 
 
 def verify_packing(G: Graph, S, trees) -> Verdict:
     """Independent checker: every tree a valid S-tree of G, pairwise edge
     sets disjoint and vertex intersections exactly S.  Names the first
-    violation found."""
+    violation found.
+
+    Every endpoint is checked to be a vertex 0..n-1 of the host before its
+    edge is looked up, so no id outside the host can pass for one inside
+    it.  Connectivity is read off a union-find over the tree's edges: once
+    the tree has |V| - 1 edges it is connected exactly when no edge closes
+    a cycle, that is, joins two vertices already linked."""
+    n, adj = G.n, G._adj
     term = set(S)
     for s in term:
-        if not 0 <= s < G.n:
+        if not 0 <= s < n:
             return Verdict(False, "terminal %s not a vertex of the host" % s)
     edge_sets = []
     vert_sets = []
     for idx, t in enumerate(trees):
-        edges = _tree_edges(t)
         eset = set()
         verts = set()
-        adj = {}
-        for u, v in edges:
-            if u == v or not G.has_edge(u, v):
+        link = {}
+        cyclic = False
+        for u, v in _tree_edges(t):
+            if not (0 <= u < n and 0 <= v < n):
+                return Verdict(False, "tree %d uses %s, not a vertex of the host"
+                               % (idx, v if 0 <= u < n else u))
+            e = (u, v)
+            if u == v or v not in adj[u]:
                 return Verdict(False, "tree %d uses a non-edge %s-%s of the host" % (idx, u, v))
-            if (u, v) in eset:
+            if e in eset:
                 return Verdict(False, "tree %d repeats edge %s-%s" % (idx, u, v))
-            eset.add((u, v))
+            eset.add(e)
             verts.add(u)
             verts.add(v)
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
+            # union-find with path halving: u and v become their roots
+            while u in link:
+                w = link[u]
+                link[u] = u = link.get(w, w)
+            while v in link:
+                w = link[v]
+                link[v] = v = link.get(w, w)
+            if u == v:
+                cyclic = True
+            else:
+                link[u] = v
         missing = term - verts
         if missing:
             return Verdict(False, "tree %d misses terminal %s" % (idx, min(missing)))
         if len(eset) != len(verts) - 1:
             return Verdict(False, "tree %d is not a tree (%d edges on %d vertices)"
                            % (idx, len(eset), len(verts)))
-        stack = [next(iter(verts))]
-        seen = {stack[0]}
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(verts):
+        if cyclic:
             return Verdict(False, "tree %d is disconnected" % idx)
         edge_sets.append(eset)
         vert_sets.append(verts)
@@ -268,24 +288,21 @@ _LP_MAX_TERMINALS = 8
 class _Candidate:
     """One minimal S-tree as sorted edges, with what applying it consumes:
     its internal vertices and its terminal-terminal edges.  A tree with a
-    terminal-terminal edge is dangerous."""
+    terminal-terminal edge is dangerous.
+
+    Whatever builds the tree hands over its vertex set, a set or a dict's
+    keys: the leg DFS its `tree`, `_last_tree` the vertices `root_paths`
+    collects, the common star its centre.  The internals are those
+    vertices less S; the terminal-terminal edges are the tree's edges among
+    `s_edges_all`, the host's edges within S."""
 
     __slots__ = ("internals", "edges", "s_edges", "dangerous")
 
-    def __init__(self, edges, term_set):
-        internals = set()
-        s_edges = []
-        for u, v in edges:
-            if u not in term_set:
-                internals.add(u)
-            elif v in term_set:
-                s_edges.append((u, v))
-            if v not in term_set:
-                internals.add(v)
-        self.internals = frozenset(internals)
+    def __init__(self, edges, verts, term_set, s_edges_all):
+        self.internals = verts - term_set
         self.edges = edges
-        self.s_edges = frozenset(s_edges)
-        self.dangerous = bool(s_edges)
+        self.s_edges = s_edges_all.intersection(edges) if s_edges_all else s_edges_all
+        self.dangerous = bool(self.s_edges)
 
 
 class _Search:
@@ -296,18 +313,18 @@ class _Search:
         self.budget = budget
         self.nodes = 0
         self.dangerous_limit = dangerous_limit
-        self.component = component
+        self.free = frozenset(component) - self.term_set
         self.s_edges_all = frozenset(
             (u, v) for u, v in combinations(self.S, 2) if G.has_edge(u, v))
         self.common = sorted(set.intersection(
-            *(set(G.neighbors(s)) for s in self.S)) - self.term_set)
+            *(G._adj[s] for s in self.S)) - self.term_set)
         self.passes = {s: [] for s in self.S}
         self.missed = set()
         self._reset()
 
     def _reset(self):
         """Every vertex and terminal edge unused again."""
-        self.avail = set(self.component) - self.term_set
+        self.avail = set(self.free)
         self.used_s_edges = set()
         self.dangerous_used = 0
 
@@ -409,36 +426,47 @@ class _Search:
         for v in self.common:
             if v in self.avail:
                 edges = tuple(sorted((v, s) if v < s else (s, v) for s in self.S))
-                return _Candidate(edges, self.term_set)
+                return _Candidate(edges, {v}, self.term_set, self.s_edges_all)
         return None
 
     def _last_tree(self, root=None, plain=False):
         """BFS the unused vertices and free terminal edges for one more
         S-tree.  Union of root paths; its leaves are all terminals.
-        `plain` forbids terminal-terminal edges outright."""
+        `plain` forbids terminal-terminal edges outright.
+
+        The BFS stops as soon as every terminal has a parent.  A vertex's
+        parent is fixed when BFS first reaches it, and the tree is read off
+        the terminals' ancestors alone, which were all reached before them,
+        so the vertices a full BFS would go on to reach change nothing."""
         self.tick()
         allowed_s = frozenset() if plain else self._free_s_edges()
-        live = self.avail | self.term_set
+        avail, term_set, nbrs = self.avail, self.term_set, self.G._nbrs
         if root is None:
             root = self.S[0]
         parent = {root: None}
+        left = len(term_set) - 1
         queue = [root]
         while queue:
             nxt = []
             for u in queue:
-                u_term = u in self.term_set
-                for v in self.G.neighbors(u):
-                    if v in parent or v not in live:
+                u_term = u in term_set
+                for v in nbrs[u]:
+                    if v in parent:
                         continue
-                    if u_term and v in self.term_set:
-                        e = (u, v) if u < v else (v, u)
-                        if e not in allowed_s:
+                    if v in term_set:
+                        if u_term and ((u, v) if u < v else (v, u)) not in allowed_s:
                             continue
+                        left -= 1
+                        if not left:
+                            parent[v] = u
+                            edges, verts = root_paths(parent, root, self.S)
+                            return _Candidate(edges, verts, term_set, self.s_edges_all)
+                    elif v not in avail:
+                        continue
                     parent[v] = u
                     nxt.append(v)
             queue = nxt
-        edges = root_paths(parent, root, self.S)
-        return None if edges is None else _Candidate(edges, self.term_set)
+        return None
 
     def _free_s_edges(self):
         """The terminal-terminal edges a new tree may take: a terminal edge
@@ -486,8 +514,9 @@ class _Search:
         now: a new tree sorts above it exactly when its least edge does, so
         the leg DFS drops every edge below the least edge of `last_key`.
         """
-        G, S, avail, term_set = self.G, self.S, self.avail, self.term_set
-        blocked = self.s_edges_all - self._free_s_edges()
+        S, avail, term_set, tick = self.S, self.avail, self.term_set, self.tick
+        nbrs, s_edges_all = self.G._nbrs, self.s_edges_all
+        blocked = s_edges_all - self._free_s_edges()
         floor = last_key[0] if last_key else ()
         tree = {S[0]: None}     # the tree's vertices, in the order they joined
         edges = []
@@ -495,9 +524,9 @@ class _Search:
         def legs(cur, t):
             # the leg DFS: yields once per leg from `cur` to t, with the
             # leg's vertices and edges on the tree while it is yielded
-            self.tick()
-            for v in G.neighbors(cur):
-                if v in tree or not (v == t or v in avail or v in term_set):
+            tick()
+            for v in nbrs[cur]:
+                if v in tree or not (v in avail or v in term_set):
                     continue
                 e = (cur, v) if cur < v else (v, cur)
                 if e < floor or e in blocked:
@@ -515,7 +544,7 @@ class _Search:
             while i < len(S) and S[i] in tree:
                 i += 1
             if i == len(S):
-                yield _Candidate(tuple(sorted(edges)), term_set)
+                yield _Candidate(tuple(sorted(edges)), tree.keys(), term_set, s_edges_all)
                 return
             for u in list(tree):
                 for _ in legs(u, S[i]):
@@ -525,7 +554,8 @@ class _Search:
 
 
 def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
-                     cap=None, dangerous_limit=None, *, _pair_bound=None) -> TreePacking:
+                     cap=None, dangerous_limit=None, *, _pair_bound=None,
+                     _component=None) -> TreePacking:
     """Maximum packing of internally disjoint S-trees.
 
     Each size makes one `_Search.find` call, which returns None only when
@@ -534,9 +564,10 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
     the upper bound: the pair flow, count or, if computed, fractional bound.
     `cap` stops the search as soon as a packing of that size is found, for
     callers that only need a witness.  `dangerous_limit` restricts how many
-    trees may use an edge joining two terminals.  `_pair_bound`, private to
-    `generalized_connectivity`, is `pair_flow_bound(G, S)` when the caller
-    has it already.
+    trees may use an edge joining two terminals.  `_pair_bound` and
+    `_component`, private to `generalized_connectivity`, are
+    `pair_flow_bound(G, S)` and the vertices of S's component when the
+    caller has them already.
     """
     S = tuple(sorted(set(S)))
     if len(S) < 2:
@@ -546,7 +577,7 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
             raise ValueError("terminal %s out of range" % s)
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive")
-    component = connected_component(G, S[0])
+    component = connected_component(G, S[0]) if _component is None else _component
     if any(s not in component for s in S[1:]):
         return TreePacking(G, S, [], verified=True, exact=True, nodes=0)
 
@@ -625,7 +656,7 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
     only up to the current minimum (a packing that large proves the set
     cannot improve the minimum, which is all the minimum needs).  Each
     set's flow bound is computed once, for the sort, and handed to its
-    packing search.
+    packing search, with the host's vertex set as S's component.
 
     Only one set per automorphism orbit is scanned: the lexicographically
     least k-set of each orbit of the group that `symmetry.generators`
@@ -651,6 +682,7 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
     from .symmetry import orbit_representatives
     order = sorted((pair_flow_bound(G, S), sum(G.degree(s) for s in S), S)
                    for S in orbit_representatives(G, k))
+    vertices = range(G.n)     # G is connected
     cur = None
     wit = None
     wpack = None
@@ -661,7 +693,8 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
         if left <= 0:
             exact = False
             break
-        pack = max_tree_packing(G, S, budget=left, cap=cur, _pair_bound=bound)
+        pack = max_tree_packing(G, S, budget=left, cap=cur, _pair_bound=bound,
+                                _component=vertices)
         total += pack.nodes
         if pack.hit_cap:
             continue

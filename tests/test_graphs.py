@@ -254,6 +254,6 @@ class TestTreeHelpers:
     def test_root_paths(self):
         # the BFS tree of P5 from 2: 2-1-0 and 2-3-4
         parent = {2: None, 1: 2, 3: 2, 0: 1, 4: 3}
-        assert root_paths(parent, 2, (0, 3)) == ((0, 1), (1, 2), (2, 3))
-        assert root_paths(parent, 2, (2, 4)) == ((2, 3), (3, 4))
+        assert root_paths(parent, 2, (0, 3)) == (((0, 1), (1, 2), (2, 3)), {0, 1, 2, 3})
+        assert root_paths(parent, 2, (2, 4)) == (((2, 3), (3, 4)), {2, 3, 4})
         assert root_paths(parent, 2, (0, 5)) is None
