@@ -207,3 +207,95 @@ def vertex_connectivity(n, edges):
             if not _connected(n, edges, rest):
                 return size
     return n - 1
+
+
+def verify_packing(G, S, trees):
+    """The packing checker as it stood before its union-find rewrite, kept
+    as the reference its verdicts and reasons are compared with.  Reads G
+    through `G.n` and `G.has_edge` only; returns (ok, reason).  It trusts
+    vertex ids: `has_edge` indexes a list, so a negative id aliases a real
+    vertex, and an id of n or more raises IndexError."""
+    term = set(S)
+    for s in term:
+        if not 0 <= s < G.n:
+            return False, "terminal %s not a vertex of the host" % s
+    edge_sets = []
+    vert_sets = []
+    for idx, t in enumerate(trees):
+        if hasattr(t, "edges"):
+            edges = list(t.edges)
+        else:
+            edges = [tuple(sorted((int(u), int(v)))) for (u, v) in t]
+        eset = set()
+        verts = set()
+        adj = {}
+        for u, v in edges:
+            if u == v or not G.has_edge(u, v):
+                return False, "tree %d uses a non-edge %s-%s of the host" % (idx, u, v)
+            if (u, v) in eset:
+                return False, "tree %d repeats edge %s-%s" % (idx, u, v)
+            eset.add((u, v))
+            verts.add(u)
+            verts.add(v)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        missing = term - verts
+        if missing:
+            return False, "tree %d misses terminal %s" % (idx, min(missing))
+        if len(eset) != len(verts) - 1:
+            return False, ("tree %d is not a tree (%d edges on %d vertices)"
+                           % (idx, len(eset), len(verts)))
+        stack = [next(iter(verts))]
+        seen = {stack[0]}
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) != len(verts):
+            return False, "tree %d is disconnected" % idx
+        edge_sets.append(eset)
+        vert_sets.append(verts)
+    for i in range(len(trees)):
+        for j in range(i + 1, len(trees)):
+            shared_e = edge_sets[i] & edge_sets[j]
+            if shared_e:
+                u, v = min(shared_e)
+                return False, "trees %d and %d share edge %s-%s" % (i, j, u, v)
+            extra = (vert_sets[i] & vert_sets[j]) - term
+            if extra:
+                return False, ("trees %d and %d share internal vertex %s"
+                               % (i, j, min(extra)))
+    return True, ""
+
+
+def bfs_root_paths(n, edges, S, avail, allowed, root):
+    """The S-tree a full BFS from `root` yields: BFS over the vertices of
+    `avail` and the terminals, stepping from one terminal to another only
+    along an edge of `allowed`, run until the queue is empty; then the
+    union of the terminals' paths to `root` in the BFS tree, as sorted
+    edges, or None when a terminal is not reached.  Neighbors are visited
+    in ascending order."""
+    term = set(S)
+    parent = {root: None}
+    queue = [root]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v in _neighbors(edges, u):
+                if v in parent or not (v in avail or v in term):
+                    continue
+                if u in term and v in term and (min(u, v), max(u, v)) not in allowed:
+                    continue
+                parent[v] = u
+                nxt.append(v)
+        queue = nxt
+    out = set()
+    for s in term:
+        if s not in parent:
+            return None
+        while parent[s] is not None:
+            out.add((min(s, parent[s]), max(s, parent[s])))
+            s = parent[s]
+    return tuple(sorted(out))

@@ -95,7 +95,11 @@ class TestKappa:
          "51a5a60ce38079680e9ec55d83ee583323cb4891dfec4a8a0d25566a1411e31b"),
         (cartesian_product(family("cycle", 4), family("path", 3)),
          "c8e064bebc9380729d67242c902652bca1828fc7b9bbbde1fe85af366cb99018"),
-    ], ids=["C4oC4", "C4xP3"])
+        # four capped sets settled by back-offs from the empty packing
+        # (`TestScanWork.test_backoff_from_the_empty_packing_is_pinned`)
+        (cartesian_product(family("cycle", 3), family("cycle", 4)),
+         "c7749424d0e1f74c5ff072f6a7277042589dbe9fb369620b7ec623d6fe3c6114"),
+    ], ids=["C4oC4", "C4xP3", "C3xC4"])
     def test_witness_certificate_bytes_are_pinned(self, tmp_path, host, digest):
         # a faster scan keeps the witness set, its trees and the node count
         f = tmp_path / "host.txt"

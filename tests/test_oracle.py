@@ -23,8 +23,8 @@ import brute
 from genconn.bounds import kappa_k_complete
 from genconn.connectivity import capped_flow_value
 from genconn.graphs import (Graph, ProductGraph, cartesian_product,
-                            connected_component, family, is_connected,
-                            lexicographic_product)
+                            connected_component, family, format_edge_list,
+                            is_connected, lexicographic_product, parse_edge_list)
 from genconn.fractional import fractional_bound, min_weight_tree
 from genconn.steiner import (GCResult, SteinerTree, _OutOfBudget, _Search,
                              generalized_connectivity, kappa3,
@@ -334,6 +334,32 @@ class TestScanWork:
         host = lexicographic_product(family("cycle", 4), family("complete", 2))
         pack = max_tree_packing(host, (0, 2, 5, 6))
         assert (pack.size, pack.exact, pack.nodes) == (4, True, 4328)
+
+    def test_backoff_from_the_empty_packing_is_pinned(self, monkeypatch):
+        # C3xC4 read from an edge list, as `genconn kappa --edges` reads it.
+        # On four capped sets the first greedy pass takes two trees and
+        # misses the third; undoing one tree is not enough, and the back-off
+        # that undoes the whole pass finds three trees from the empty packing
+        host = parse_edge_list(format_edge_list(
+            cartesian_product(family("cycle", 3), family("cycle", 4))))
+        empty = []
+        extend = _Search._extend
+
+        def counted(self, chosen, last_key, target):
+            done = extend(self, chosen, last_key, target)
+            if chosen == []:
+                empty.append((self.S, target, done is not None))
+            return done
+
+        monkeypatch.setattr(_Search, "_extend", counted)
+        got = kappa3(host)
+        assert (got.value, got.exact, got.witness, got.nodes) == (3, True, (0, 1, 2), 2876)
+        assert [t.edges for t in got.packing.trees] == [
+            ((0, 3), (0, 4), (1, 5), (2, 3), (4, 5)),
+            ((0, 8), (1, 9), (2, 10), (8, 9), (9, 10)),
+            ((0, 1), (1, 2))]
+        assert empty == [((4, 5, 10), 3, True), ((4, 7, 10), 3, True),
+                         ((5, 6, 11), 3, True), ((6, 7, 8), 3, True)]
 
     def test_each_pass_builds_each_tree_once(self, monkeypatch):
         # a pass keeps the trees it took for the next size: the first pass
@@ -953,3 +979,138 @@ class TestVerifier:
         t = SteinerTree((0, 1, 3), ((0, 1), (0, 2), (1, 2), (3, 4)))
         v = verify_packing(family("complete", 5), (0, 1, 3), [t])
         assert not v.ok and v.reason == "tree 0 is disconnected"
+
+    def test_negative_vertex_id_is_not_a_vertex(self):
+        # a list index of -1 reads vertex 4 of C5, so a tree through -1
+        # would pass as a third tree, where kappa(0, 3) = 2
+        G = self.host()
+        trees = [[(0, 4), (4, 3)], [(0, -1), (-1, 3)], [(0, 1), (1, 2), (2, 3)]]
+        assert brute.verify_packing(G, (0, 3), trees) == (True, "")
+        v = verify_packing(G, (0, 3), trees)
+        assert not v.ok and v.reason == "tree 1 uses -1, not a vertex of the host"
+
+    def test_vertex_ids_beyond_the_host(self):
+        # an edge with both ends at n or above gets a verdict, not an IndexError
+        G = self.host()
+        trees = [[(0, 1), (1, 2)], [(5, 6)]]
+        with pytest.raises(IndexError):
+            brute.verify_packing(G, (0, 2), trees)
+        v = verify_packing(G, (0, 2), trees)
+        assert not v.ok and v.reason == "tree 1 uses 5, not a vertex of the host"
+        v = verify_packing(G, (0, 2), [SteinerTree((0, 2), ((0, 1), (1, 7)))])
+        assert not v.ok and v.reason == "tree 0 uses 7, not a vertex of the host"
+
+    def test_verdicts_match_the_reference(self):
+        # real packings of every 2-, 3- and 4-set of the `TestEveryK` hosts,
+        # and seeded edits of them, all on vertex ids of the host: the same
+        # verdict and reason as the DFS checker kept in brute.py
+        reasons = Counter()
+        for name, G in sorted(EVERY_K_HOSTS.items()):
+            rng = random.Random(name)
+            for k in (2, 3, 4):
+                for S in combinations(range(G.n), k):
+                    trees = max_tree_packing(G, S).trees
+                    for packing in _edited_packings(G, S, trees, rng):
+                        for form in (packing, [SteinerTree(S, tuple(t)) for t in packing]):
+                            want = brute.verify_packing(G, S, form)
+                            v = verify_packing(G, S, form)
+                            assert (v.ok, v.reason) == want, (name, S, form)
+                            reasons[next(r for r in VERDICT_KINDS if r in want[1])] += 1
+        # every verdict the checker gives on in-range ids was reached
+        assert set(reasons) == set(VERDICT_KINDS), reasons
+
+
+# a phrase of each verdict `verify_packing` gives on a packing of in-range ids
+VERDICT_KINDS = ("uses a non-edge", "repeats edge", "misses terminal", "is not a tree",
+                 "is disconnected", "share edge", "share internal vertex", "")
+
+
+def _edited_packings(G, S, trees, rng):
+    """The packing `trees` as edge lists, and seeded edits of it: an edge
+    dropped, added, repeated or reversed, a chord that closes a cycle, a
+    chord in place of a tree edge, a chord and an edge apart from the tree
+    (a forest with one edge fewer than vertices), a non-edge, and an edge
+    or an internal vertex of another tree taken."""
+    base = [list(t.edges) for t in trees]
+    host = G.edges()
+    non_edges = [(u, v) for u, v in combinations(range(G.n), 2) if not G.has_edge(u, v)]
+    out = [base]
+    for i, edges in enumerate(base):
+        def put(new):
+            out.append(base[:i] + [new] + base[i + 1:])
+        verts = {v for e in edges for v in e}
+        j = rng.randrange(len(edges))
+        put(edges[:j] + edges[j + 1:])
+        put(edges + [rng.choice(host)])
+        put(edges + [edges[j]])
+        put(edges[:j] + [edges[j][::-1]] + edges[j + 1:])
+        chords = [e for e in host if set(e) <= verts and e not in edges]
+        apart = [e for e in host if not set(e) & verts]
+        if chords:
+            put(edges + [rng.choice(chords)])
+            put(edges[:j] + edges[j + 1:] + [rng.choice(chords)])
+            if apart:
+                put(edges + [rng.choice(chords), rng.choice(apart)])
+        if non_edges:
+            put(edges + [rng.choice(non_edges)])
+        for other in base[:i] + base[i + 1:]:
+            put(edges + [rng.choice(other)])
+            inner = {v for e in other for v in e} - set(S)
+            reach = [e for e in host
+                     if len(set(e) & verts) == 1 and set(e) & inner and e not in other]
+            if reach:
+                put(edges + [rng.choice(reach)])
+    return out
+
+
+class TestCandidates:
+    """The search's candidate trees against references kept in brute.py."""
+
+    @pytest.mark.parametrize("name", sorted(EVERY_K_HOSTS))
+    def test_last_tree_matches_a_full_bfs(self, name):
+        # the BFS that stops once every terminal has a parent yields the
+        # tree a BFS run to the end yields, on seeded residuals: a random
+        # subset of the non-terminals unused and of the terminal edges free
+        G = EVERY_K_HOSTS[name]
+        edges = G.edges()
+        rng = random.Random(name)
+        found = Counter()
+        for k in (3, 4, 5):
+            for S in combinations(range(G.n), k):
+                search = _Search(G, S, 10 ** 9, None, range(G.n))
+                free = sorted(search.free)
+                s_edges = sorted(search.s_edges_all)
+                for _ in range(3):
+                    search.avail = set(rng.sample(free, rng.randint(0, len(free))))
+                    search.used_s_edges = set(rng.sample(s_edges, rng.randint(0, len(s_edges))))
+                    allowed = search.s_edges_all - search.used_s_edges
+                    for root in S + (None,):
+                        for plain in (False, True):
+                            got = search._last_tree(root=root, plain=plain)
+                            want = brute.bfs_root_paths(
+                                G.n, edges, S, search.avail, () if plain else allowed,
+                                S[0] if root is None else root)
+                            assert (None if got is None else got.edges) == want, (S, root, plain)
+                            found[want is not None] += 1
+        assert found[True] and found[False], found
+
+    @pytest.mark.parametrize("name", sorted(EVERY_K_HOSTS))
+    def test_candidates_consume_what_their_edges_touch(self, name):
+        # whichever builder hands a candidate its vertex set, the candidate
+        # consumes exactly the non-terminals its edges touch and the
+        # terminal-terminal edges among them
+        G = EVERY_K_HOSTS[name]
+        rng = random.Random(name)
+        for k in (3, 4):
+            for S in combinations(range(G.n), k):
+                search = _Search(G, S, 10 ** 9, None, range(G.n))
+                search.avail = set(rng.sample(sorted(search.free), len(search.free) // 2 + 1))
+                found = list(search._trees(None)) + [search._common_star(),
+                                                     search._last_tree()]
+                for c in found:
+                    if c is None:
+                        continue
+                    touched = {v for e in c.edges for v in e}
+                    assert c.internals == touched - set(S)
+                    assert c.s_edges == {(u, v) for u, v in c.edges if {u, v} <= set(S)}
+                    assert c.dangerous == bool(c.s_edges)
