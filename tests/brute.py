@@ -210,10 +210,11 @@ def vertex_connectivity(n, edges):
 
 
 def verify_packing(G, S, trees):
-    """The packing checker as it stood before its union-find rewrite, kept
-    as the reference its verdicts and reasons are compared with.  Reads G
-    through `G.n` and `G.has_edge` only; returns (ok, reason).  It trusts
-    vertex ids: `has_edge` indexes a list, so a negative id aliases a real
+    """Reference packing checker: a DFS over a per-tree adjacency dict for
+    connectivity, the same checks in the same order as the package's
+    `verify_packing`, and the same verdicts and reasons.  Reads G through
+    `G.n` and `G.has_edge` only; returns (ok, reason).  It trusts vertex
+    ids: `has_edge` indexes a list, so a negative id aliases a real
     vertex, and an id of n or more raises IndexError."""
     term = set(S)
     for s in term:
