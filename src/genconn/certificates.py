@@ -204,17 +204,19 @@ def reverify(doc) -> Verdict:
 
     Fails when the recorded trees no longer verify, when the recorded
     verdict disagrees with the fresh one, or when the stats claim a value
-    or a tree count other than the number of trees, so any edit to a
-    stored certificate is caught.  This is the one check of a
-    certificate's content: a malformed document raises `CertificateError`.
+    or a tree count other than the number of trees, as an int (JSON `true`
+    and `1.0` are no count), so any edit to a stored certificate is caught.
+    This is the one check of a certificate's content: a malformed document
+    raises `CertificateError`.
     """
     host, terminals, trees = _read(doc)
     if len(set(terminals)) != len(terminals):
         return Verdict(False, "terminal list repeats a vertex")
     for key in ("value", "trees"):
-        if key in doc["stats"] and doc["stats"][key] != len(trees):
+        claim = doc["stats"].get(key, len(trees))
+        if type(claim) is not int or claim != len(trees):
             return Verdict(False, "stats claim %s %r but the certificate holds %d trees"
-                           % (key, doc["stats"][key], len(trees)))
+                           % (key, claim, len(trees)))
     verdict = verify_packing(host, terminals, trees)
     if verdict.ok and not doc["verdict"]["ok"]:
         return Verdict(False, "recorded verdict disagrees with re-verification")

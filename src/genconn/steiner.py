@@ -16,14 +16,12 @@ terminal not yet in it by one leg, so each minimal tree is built exactly
 once.  A tree's key is its sorted edge tuple.  Pairs go to max-flow.
 
 A packing is enumerated once by requiring strictly increasing tree keys.
-A new tree may use the unused vertices and the free terminal edges: the
-unused terminal-terminal edges, or none once `dangerous_limit` trees use
-such an edge (`_Search._free_s_edges`).  Prunes, all sound:
+A new tree may use the unused vertices and the free terminal edges, the
+terminal-terminal edges that no tree uses yet.  Prunes, all sound:
 - internal-vertex supply: a remaining tree either owns an unused internal
   vertex, which no other tree shares, or has no internal vertex at all; then
   it spans S with |S|-1 terminal-terminal edges, each free and owned by it
-  alone.  So remaining <= |unused internals| + free // (|S|-1), for any |S|
-  and any limit;
+  alone.  So remaining <= |unused internals| + free // (|S|-1), any |S|;
 - edge supply: remaining trees need |S|-1 edges each from the residual
   edges, those among unused vertices and terminals less the terminal edges
   that are not free;
@@ -48,8 +46,7 @@ packing are disjoint in both, so p of them weigh at least p * W(w) and at
 most sum(w), and kappa(S) <= floor(sum(w) / W(w)) (weak duality).  A
 least-weight tree is minimal, because w >= 0.  `fractional.fractional_bound`
 picks w by column generation and prices it exactly, with a Dreyfus-Wagner
-DP in integers.  `dangerous_limit` only removes trees, so the bound holds
-under it too.
+DP in integers.
 
 One `_Search.find` call settles each size t, in this order: greedy
 passes, one per terminal, each near miss with its back-offs; the bound,
@@ -81,6 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 
 from .connectivity import capped_flow_value, disjoint_paths, local_connectivity
 from .graphs import Graph, connected_component, is_connected, root_paths
@@ -155,7 +153,7 @@ class _OutOfBudget(Exception):
 def _tree_edges(t):
     if isinstance(t, SteinerTree):
         return t.edges
-    return [tuple(sorted((int(u), int(v)))) for (u, v) in t]
+    return [tuple(sorted((index(u), index(v)))) for (u, v) in t]
 
 
 def verify_packing(G: Graph, S, trees) -> Verdict:
@@ -164,10 +162,11 @@ def verify_packing(G: Graph, S, trees) -> Verdict:
     violation found.
 
     Every endpoint is checked to be a vertex 0..n-1 of the host before its
-    edge is looked up, so no id outside the host can pass for one inside
-    it.  Connectivity is read off a union-find over the tree's edges: once
-    the tree has |V| - 1 edges it is connected exactly when no edge closes
-    a cycle, that is, joins two vertices already linked."""
+    edge is looked up, and no id is truncated to one, so no id outside the
+    host can pass for one inside it.  Connectivity is read off a union-find
+    over the tree's edges: once the tree has |V| - 1 edges it is connected
+    exactly when no edge closes a cycle, that is, joins two vertices
+    already linked."""
     n, adj = G.n, G._adj
     term = set(S)
     for s in term:
@@ -180,7 +179,12 @@ def verify_packing(G: Graph, S, trees) -> Verdict:
         verts = set()
         link = {}
         cyclic = False
-        for u, v in _tree_edges(t):
+        try:
+            edges = _tree_edges(t)
+        except TypeError:   # an id that `operator.index` refuses
+            bad = next(x for e in t for x in e if not hasattr(x, "__index__"))
+            return Verdict(False, "tree %d uses %r, not a vertex of the host" % (idx, bad))
+        for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 return Verdict(False, "tree %d uses %s, not a vertex of the host"
                                % (idx, v if 0 <= u < n else u))
@@ -287,8 +291,7 @@ _LP_MAX_TERMINALS = 8
 
 class _Candidate:
     """One minimal S-tree as sorted edges, with what applying it consumes:
-    its internal vertices and its terminal-terminal edges.  A tree with a
-    terminal-terminal edge is dangerous.
+    its internal vertices and its terminal-terminal edges.
 
     Whatever builds the tree hands over its vertex set, a set or a dict's
     keys: the leg DFS its `tree`, `_last_tree` the vertices `root_paths`
@@ -296,23 +299,21 @@ class _Candidate:
     vertices less S; the terminal-terminal edges are the tree's edges among
     `s_edges_all`, the host's edges within S."""
 
-    __slots__ = ("internals", "edges", "s_edges", "dangerous")
+    __slots__ = ("internals", "edges", "s_edges")
 
     def __init__(self, edges, verts, term_set, s_edges_all):
         self.internals = verts - term_set
         self.edges = edges
         self.s_edges = s_edges_all.intersection(edges) if s_edges_all else s_edges_all
-        self.dangerous = bool(self.s_edges)
 
 
 class _Search:
-    def __init__(self, G, S, budget, dangerous_limit, component):
+    def __init__(self, G, S, budget, component):
         self.G = G
         self.S = tuple(sorted(S))
         self.term_set = frozenset(S)
         self.budget = budget
         self.nodes = 0
-        self.dangerous_limit = dangerous_limit
         self.free = frozenset(component) - self.term_set
         self.s_edges_all = frozenset(
             (u, v) for u, v in combinations(self.S, 2) if G.has_edge(u, v))
@@ -326,7 +327,6 @@ class _Search:
         """Every vertex and terminal edge unused again."""
         self.avail = set(self.free)
         self.used_s_edges = set()
-        self.dangerous_used = 0
 
     def tick(self):
         self.nodes += 1
@@ -402,7 +402,7 @@ class _Search:
             if tree is None:
                 return None
             return list(chosen) + [tree]
-        spare = len(self._free_s_edges()) // (len(self.S) - 1)
+        spare = (len(self.s_edges_all) - len(self.used_s_edges)) // (len(self.S) - 1)
         if remaining > len(self.avail) + spare:
             return None
         edges = self._residual_edges()
@@ -439,7 +439,7 @@ class _Search:
         the terminals' ancestors alone, which were all reached before them,
         so the vertices a full BFS would go on to reach change nothing."""
         self.tick()
-        allowed_s = frozenset() if plain else self._free_s_edges()
+        allowed_s = frozenset() if plain else self.s_edges_all - self.used_s_edges
         avail, term_set, nbrs = self.avail, self.term_set, self.G._nbrs
         if root is None:
             root = self.S[0]
@@ -468,29 +468,19 @@ class _Search:
             queue = nxt
         return None
 
-    def _free_s_edges(self):
-        """The terminal-terminal edges a new tree may take: a terminal edge
-        serves one tree, and at most `dangerous_limit` trees may use such
-        edges at all."""
-        if self.dangerous_limit is not None and self.dangerous_used >= self.dangerous_limit:
-            return frozenset()
-        return self.s_edges_all - self.used_s_edges
-
     def _apply(self, c):
         self.avail.difference_update(c.internals)
         self.used_s_edges.update(c.s_edges)
-        self.dangerous_used += c.dangerous
 
     def _undo(self, c):
         self.avail.update(c.internals)
         self.used_s_edges.difference_update(c.s_edges)
-        self.dangerous_used -= c.dangerous
 
     def _residual_edges(self):
         """The edges a new tree may take, sorted: those among unused vertices
         and terminals, less the terminal edges that are not free."""
         live = self.avail | self.term_set
-        blocked = self.s_edges_all - self._free_s_edges()
+        blocked = self.used_s_edges
         return [(u, v) for u in sorted(live) for v in self.G.neighbors(u)
                 if u < v and v in live and (u, v) not in blocked]
 
@@ -516,7 +506,7 @@ class _Search:
         """
         S, avail, term_set, tick = self.S, self.avail, self.term_set, self.tick
         nbrs, s_edges_all = self.G._nbrs, self.s_edges_all
-        blocked = s_edges_all - self._free_s_edges()
+        blocked = frozenset(self.used_s_edges)
         floor = last_key[0] if last_key else ()
         tree = {S[0]: None}     # the tree's vertices, in the order they joined
         edges = []
@@ -554,7 +544,7 @@ class _Search:
 
 
 def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
-                     cap=None, dangerous_limit=None, *, _pair_bound=None,
+                     cap=None, *, _pair_bound=None,
                      _component=None) -> TreePacking:
     """Maximum packing of internally disjoint S-trees.
 
@@ -563,11 +553,9 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
     is exact iff the last size tried has no packing or the packing meets
     the upper bound: the pair flow, count or, if computed, fractional bound.
     `cap` stops the search as soon as a packing of that size is found, for
-    callers that only need a witness.  `dangerous_limit` restricts how many
-    trees may use an edge joining two terminals.  `_pair_bound` and
-    `_component`, private to `generalized_connectivity`, are
-    `pair_flow_bound(G, S)` and the vertices of S's component when the
-    caller has them already.
+    callers that only need a witness.  `_pair_bound` and `_component`,
+    private to `generalized_connectivity`, are `pair_flow_bound(G, S)` and
+    the vertices of S's component when the caller has them already.
     """
     S = tuple(sorted(set(S)))
     if len(S) < 2:
@@ -583,17 +571,14 @@ def max_tree_packing(G: Graph, S, budget: int = DEFAULT_BUDGET,
 
     if len(S) == 2:
         x, y = S
-        host = G
-        if dangerous_limit == 0 and G.has_edge(x, y):
-            host = G.without_edge(x, y)
-        paths = disjoint_paths(host, x, y, want=cap)
+        paths = disjoint_paths(G, x, y, want=cap)
         edge_sets = [tuple(sorted((min(p[i], p[i + 1]), max(p[i], p[i + 1]))
                                   for i in range(len(p) - 1))) for p in paths]
         hit_cap = cap is not None and len(edge_sets) == cap
         exact = not hit_cap
         nodes = 0
     else:
-        search = _Search(G, S, budget, dangerous_limit, component)
+        search = _Search(G, S, budget, component)
         if _pair_bound is None:
             _pair_bound = pair_flow_bound(G, S)
         ub = min(_pair_bound, _count_bound(G, S, component))

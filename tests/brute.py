@@ -215,7 +215,8 @@ def verify_packing(G, S, trees):
     `verify_packing`, and the same verdicts and reasons.  Reads G through
     `G.n` and `G.has_edge` only; returns (ok, reason).  It trusts vertex
     ids: `has_edge` indexes a list, so a negative id aliases a real
-    vertex, and an id of n or more raises IndexError."""
+    vertex, and an id of n or more raises IndexError; `int` truncates a
+    non-integer id of an id pair onto a vertex."""
     term = set(S)
     for s in term:
         if not 0 <= s < G.n:

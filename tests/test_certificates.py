@@ -136,6 +136,21 @@ class TestTampering:
         verdict = reverify(doc)
         assert not verdict.ok
 
+    @pytest.mark.parametrize("key", ["value", "trees"])
+    @pytest.mark.parametrize("claim", [True, 1.0])
+    def test_a_count_must_be_an_integer(self, key, claim):
+        # JSON true and 1.0 compare equal to 1, the one tree held here,
+        # but neither is the count the certificate was written with
+        G = family("path", 4)
+        pack = max_tree_packing(G, (0, 2, 3))
+        doc = packing_certificate(G, (0, 2, 3), pack.trees, stats={key: 1})
+        assert reverify(load_certificate(dump_certificate(doc))).ok
+        doc["stats"][key] = claim
+        verdict = reverify(load_certificate(dump_certificate(doc)))
+        assert not verdict.ok
+        assert verdict.reason == ("stats claim %s %r but the certificate holds 1 trees"
+                                  % (key, claim))
+
 
 _GONE = object()
 

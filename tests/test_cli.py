@@ -146,13 +146,18 @@ class TestConstruct:
         # whose base tree leaves out the legs no terminal needs
         ("spider.txt", "path:2",
          "116485f3766a4ed4549957d3cfa87ccc2eed0a40e4d908e439359724e85f3751"),
-    ], ids=["P5oP3", "C5oP2", "C6oK2", "S4oP2", "K4oP2", "K33oP2", "spiderP2"])
+        # 56 families, 16 of them from the oracle: where the base packing
+        # has a second dangerous tree, the cut leaves one of two
+        ("diamond.txt", "complete:2",
+         "0c753782f0d92d966a41f46930cae895d985a1e34aa5045b71014ee1dc84c34e"),
+    ], ids=["P5oP3", "C5oP2", "C6oK2", "S4oP2", "K4oP2", "K33oP2", "spiderP2", "diamondK2"])
     def test_all_triples_certificate_bytes_are_pinned(self, tmp_path, base, inner, digest):
         # a refactor of the constructions or the oracle keeps every tree,
         # tag and byte of these certificates
         edge_lists = {
             "k33.txt": "6\n" + "".join("%d %d\n" % (u, v) for u in range(3) for v in range(3, 6)),
-            "spider.txt": "7\n0 1\n1 2\n0 3\n3 4\n0 5\n5 6\n"}
+            "spider.txt": "7\n0 1\n1 2\n0 3\n3 4\n0 5\n5 6\n",
+            "diamond.txt": "4\n0 1\n0 2\n1 2\n1 3\n2 3\n"}
         if base in edge_lists:
             (tmp_path / base).write_text(edge_lists[base])
             base = str(tmp_path / base)
@@ -265,6 +270,24 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         assert run(["verify", str(out)]) == 2
         assert "stats claim trees 4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("claim", [True, 1.0])
+    @pytest.mark.parametrize("command", [
+        ["kappa", "--family", "path:4"],
+        ["construct", "--lex", "path:3", "complete:1", "--terminals", "0:0 1:0 2:0"]],
+        ids=["value", "trees"])
+    def test_one_tree_count_as_true_or_float_exits_2(self, tmp_path, capsys, command, claim):
+        # a certificate of one tree whose count is edited to JSON true or 1.0
+        out = tmp_path / "one.json"
+        assert run(command + ["--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        key = "value" if command[0] == "kappa" else "trees"
+        assert doc["stats"][key] == len(doc["trees"]) == 1
+        doc["stats"][key] = claim
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == 2
+        assert "stats claim %s %r" % (key, claim) in capsys.readouterr().out
 
     def test_missing_file_exits_4(self, tmp_path):
         assert run(["verify", str(tmp_path / "nope.json")]) == 4

@@ -7,16 +7,17 @@ modes rather than re-proving disjointness by hand.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+import brute
 from genconn import construct, steiner
 from genconn.connectivity import vertex_connectivity
 from genconn.construct import (ConstructionError, ConstructionResult,
                                construct_general_lex, construct_path_lex,
                                construct_tree_lex)
-from genconn.graphs import (Graph, cartesian_product, family,
+from genconn.graphs import (Graph, cartesian_product, family, is_connected,
                             lexicographic_product)
 from genconn.steiner import kappa3, verify_packing
 
@@ -28,6 +29,20 @@ def lex(g, h):
 def spider_123() -> Graph:
     # legs of lengths 1, 2, 3 hanging off vertex 0
     return Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+
+
+def _connected_graphs(n):
+    """One edge list per isomorphism class of connected graphs on n
+    vertices, the least relabelling of each."""
+    pairs = list(combinations(range(n), 2))
+    found = set()
+    for mask in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+        if not is_connected(Graph(n, edges)):
+            continue
+        found.add(min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+                      for p in permutations(range(n))))
+    return [list(edges) for edges in sorted(found)]
 
 
 def assert_family(P, S, result, want):
@@ -166,6 +181,35 @@ class TestGeneralBase:
         assert result.fallbacks == result.size
         assert all(t.provenance == "oracle_fallback" for t in result.trees)
         assert any("fallback" in note for note in result.notes)
+
+    def test_base_packing_cut_against_brute_force(self):
+        # on every non-tree connected base of order at most 5 (up to
+        # isomorphism) and every set of three fibers, the base trees hold at
+        # most one dangerous tree, and as many as a packing with at most one
+        # dangerous tree has, up to ell: the cut loses no base tree there
+        P2 = family("path", 2)
+        bases = short = 0
+        for n in (3, 4, 5):
+            for edges in _connected_graphs(n):
+                if len(edges) == n - 1:
+                    continue
+                bases += 1
+                G = Graph(n, edges)
+                ell = kappa3(G).value
+                P = lex(G, P2)
+                for fibers in combinations(range(n), 3):
+                    S = tuple(P.flatten(g, 0) for g in fibers)
+                    trees = construct._base_trees(P, S, ell, steiner.DEFAULT_BUDGET)
+                    assert verify_packing(G, fibers, trees).ok
+                    dangerous = sum(any(u in fibers and v in fibers for u, v in t)
+                                    for t in trees)
+                    assert dangerous <= 1, (edges, fibers)
+                    want = brute.tree_packing_number(n, edges, fibers, dangerous_limit=1)
+                    assert len(trees) == min(ell, want), (edges, fibers)
+                    short += len(trees) < ell
+        # 29 connected bases of order 3 to 5, 6 of them trees; the cut falls
+        # short on the diamond, K2,3 and five more
+        assert (bases, short) == (23, 18)
 
     def test_ell_below_one_rejected(self):
         # a disconnected base has kappa_3 = 0, so no family size to meet

@@ -101,8 +101,9 @@ EVERY_K_HOSTS = {
 EVERY_K_HOSTS.update(("random-%d" % seed, _seeded_graph(seed)) for seed in range(6))
 
 
-# hosts with many terminal-terminal edges, and every host of TestEveryK,
-# for the dangerous limit
+# hosts with many terminal-terminal edges, whose packings the construct
+# composer cuts before their second dangerous tree, and every host of
+# TestEveryK
 DANGEROUS_LIMIT_HOSTS = {
     "K5": family("complete", 5),
     "W5": Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
@@ -792,7 +793,7 @@ class TestFractionalBound:
         # every merge ticks the budget
         G = family("cycle", 24)
         S = tuple(range(0, 24, 2))
-        search = _Search(G, S, 1000, None, frozenset(range(G.n)))
+        search = _Search(G, S, 1000, frozenset(range(G.n)))
         start = time.perf_counter()
         with pytest.raises(_OutOfBudget):
             fractional_bound(G, S, 2, [], search.tick)
@@ -859,45 +860,22 @@ class TestSearchControls:
         assert pack.nodes <= 1001
         assert not pack.exact and pack.verified
 
-    def test_dangerous_limit_on_k4(self):
-        G = family("complete", 4)
-        free = max_tree_packing(G, (0, 1, 2))
-        assert free.size == 2
-        one = max_tree_packing(G, (0, 1, 2), dangerous_limit=1)
-        assert one.size == 2
-        none = max_tree_packing(G, (0, 1, 2), dangerous_limit=0)
-        assert none.size == 1
-        for pack in (one, none):
-            dangerous = 0
-            for t in pack.trees:
-                term = set(t.terminals)
-                if any(u in term and v in term for u, v in t.edges):
-                    dangerous += 1
-            assert dangerous <= (1 if pack is one else 0)
-
     @pytest.mark.parametrize("name", sorted(DANGEROUS_LIMIT_HOSTS))
     def test_dangerous_limit_against_brute_force(self, name):
-        # at most d trees may take an edge joining two terminals; the
-        # construct composer asks for d = 1.  Every cap up to one above the
-        # value stops the search at its own size, each size reusing the
-        # passes of the sizes before it
+        # every cap up to one above the value stops the search at its own
+        # size, each size reusing the passes of the sizes before it
         G = DANGEROUS_LIMIT_HOSTS[name]
         edges = G.edges()
         for k in (2, 3, 4):
             for S in combinations(range(G.n), k):
-                for d in (0, 1):
-                    pack = max_tree_packing(G, S, dangerous_limit=d)
-                    assert pack.exact and pack.verified
-                    want = brute.tree_packing_number(G.n, edges, S, dangerous_limit=d)
-                    assert pack.size == want, (k, S, d)
-                    term = set(S)
-                    dangerous = sum(any(u in term and v in term for u, v in t.edges)
-                                    for t in pack.trees)
-                    assert dangerous <= d
-                    for cap in range(1, want + 2):
-                        capped = max_tree_packing(G, S, cap=cap, dangerous_limit=d)
-                        assert ((capped.size, capped.hit_cap)
-                                == (min(cap, want), cap <= want)), (k, S, d, cap)
+                pack = max_tree_packing(G, S)
+                assert pack.exact and pack.verified
+                want = brute.tree_packing_number(G.n, edges, S)
+                assert pack.size == want, (k, S)
+                for cap in range(1, want + 2):
+                    capped = max_tree_packing(G, S, cap=cap)
+                    assert ((capped.size, capped.hit_cap)
+                            == (min(cap, want), cap <= want)), (k, S, cap)
 
     def test_terminal_validation(self):
         with pytest.raises(ValueError):
@@ -989,6 +967,18 @@ class TestVerifier:
         v = verify_packing(G, (0, 3), trees)
         assert not v.ok and v.reason == "tree 1 uses -1, not a vertex of the host"
 
+    def test_non_integer_vertex_id_is_not_a_vertex(self):
+        # int() truncates 1.2 and 1.7 onto vertex 1, so two edges that share
+        # no vertex would pass as the path 0-1-2
+        G = self.host()
+        trees = [[(0, 1.2), (1.7, 2)], [(0, 4), (4, 3), (3, 2)]]
+        assert brute.verify_packing(G, (0, 2), trees) == (True, "")
+        v = verify_packing(G, (0, 2), trees)
+        assert not v.ok and v.reason == "tree 0 uses 1.2, not a vertex of the host"
+        for bad in (1.0, "1"):
+            v = verify_packing(G, (0, 2), [[(0, 1), (1, 2)], [(0, 4), (4, bad)]])
+            assert not v.ok and v.reason == "tree 1 uses %r, not a vertex of the host" % bad
+
     def test_vertex_ids_beyond_the_host(self):
         # an edge with both ends at n or above gets a verdict, not an IndexError
         G = self.host()
@@ -1002,8 +992,8 @@ class TestVerifier:
 
     def test_verdicts_match_the_reference(self):
         # real packings of every 2-, 3- and 4-set of the `TestEveryK` hosts,
-        # and seeded edits of them, all on vertex ids of the host: the same
-        # verdict and reason as the DFS checker kept in brute.py
+        # and seeded edits of them, all on integer vertex ids of the host:
+        # the same verdict and reason as the DFS checker kept in brute.py
         reasons = Counter()
         for name, G in sorted(EVERY_K_HOSTS.items()):
             rng = random.Random(name)
@@ -1077,7 +1067,7 @@ class TestCandidates:
         found = Counter()
         for k in (3, 4, 5):
             for S in combinations(range(G.n), k):
-                search = _Search(G, S, 10 ** 9, None, range(G.n))
+                search = _Search(G, S, 10 ** 9, range(G.n))
                 free = sorted(search.free)
                 s_edges = sorted(search.s_edges_all)
                 for _ in range(3):
@@ -1103,7 +1093,7 @@ class TestCandidates:
         rng = random.Random(name)
         for k in (3, 4):
             for S in combinations(range(G.n), k):
-                search = _Search(G, S, 10 ** 9, None, range(G.n))
+                search = _Search(G, S, 10 ** 9, range(G.n))
                 search.avail = set(rng.sample(sorted(search.free), len(search.free) // 2 + 1))
                 found = list(search._trees(None)) + [search._common_star(),
                                                      search._last_tree()]
@@ -1113,4 +1103,3 @@ class TestCandidates:
                     touched = {v for e in c.edges for v in e}
                     assert c.internals == touched - set(S)
                     assert c.s_edges == {(u, v) for u, v in c.edges if {u, v} <= set(S)}
-                    assert c.dangerous == bool(c.s_edges)
