@@ -30,10 +30,10 @@ of their own base tree, and the interiors of internally disjoint base
 trees never overlap.  Only dangerous families use terminal-fiber lanes, so
 two of them could collide there; hence at most one dangerous tree: the
 corridors have at most one direct edge, and the three-fiber base packing
-is cut before its second dangerous tree.  The cut cannot give a wrong
-family: a cut that leaves fewer than ell base trees, or a family that fails
-`verify_packing`, is replaced by the product oracle's.  `_base_trees` says
-where the cut was measured against a search for at most one dangerous tree.
+is cut before its second dangerous tree.  Where fewer than ell base trees
+are left, or the family fails `verify_packing`, the product oracle's family
+replaces it, so the cut never gives a wrong family (`_base_trees` says
+where it was measured).
 """
 
 from __future__ import annotations
