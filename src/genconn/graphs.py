@@ -74,12 +74,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self._adj) // 2
 
-    def without_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise ValueError("edge (%s, %s) not present" % (u, v))
-        drop = (min(u, v), max(u, v))
-        return Graph(self.n, [e for e in self.edges() if e != drop])
-
     def __repr__(self):
         return "Graph(n=%d, edges=%d)" % (self.n, self.edge_count)
 

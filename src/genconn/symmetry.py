@@ -8,28 +8,29 @@ so are the pair-flow bound and the degree sum, which
 therefore scans only the least set of each orbit
 (`orbit_representatives`); its docstring gives the argument.
 
-`generators` returns permutations that generate such a group, each a
-tuple p with p[v] the image of vertex v.  Nothing checks them at run
-time, so each rests on the argument given here:
-- every host: the transposition of each twin with its next twin (see
-  `_twin_classes`); these generate the symmetric group on each class;
-- G box H: (g, h) -> (a(g), h) and (g, h) -> (g, b(h)) for automorphisms a
-  of G and b of H, and (g, h) -> (h, g) when G and H are the same labelled
-  graph (Imrich and Klavzar, *Product Graphs*, 2000);
-- G o H: (g, h) -> (a(g), h), and b inside one fiber g0 with every other
-  fiber fixed.  The edges between two adjacent fibers form a complete
-  bipartite graph, so moving the vertices of one fiber among themselves
-  keeps them.  One g0 per orbit of Aut(G) suffices: conjugating by a moves
-  b to fiber a(g0).  Together these generate Aut(H) wr Aut(G) (Sabidussi,
-  "The composition of graphs", Duke Math. J. 1959).
+The group has two kinds of generators.  Nothing checks them at run time,
+so each rests on the argument given here:
+- every host: the permutations inside each twin class (see
+  `_twin_classes`).  An automorphism maps neighbourhoods onto
+  neighbourhoods, so it maps twin classes onto twin classes;
+- on a product, its factors' automorphisms (`_factor_generators`), each a
+  tuple p with p[v] the image of vertex v:
+  - G box H: (g, h) -> (a(g), h) and (g, h) -> (g, b(h)) for automorphisms
+    a of G and b of H, and (g, h) -> (h, g) when G and H are the same
+    labelled graph (Imrich and Klavzar, *Product Graphs*, 2000);
+  - G o H: (g, h) -> (a(g), h), and b inside one fiber g0 with every other
+    fiber fixed.  The edges between two adjacent fibers form a complete
+    bipartite graph, so moving the vertices of one fiber among themselves
+    keeps them.  One g0 per orbit of Aut(G) suffices: conjugating by a
+    moves b to fiber a(g0).  Together these generate Aut(H) wr Aut(G)
+    (Sabidussi, "The composition of graphs", Duke Math. J. 1959).
 
-The twin transpositions generate a normal subgroup, the permutations
-inside each twin class: an automorphism maps twin classes onto twin
-classes.  So each orbit is a union of its orbits, and the closure that
-finds the orbits runs over their quotient: it walks only the sets that hold
-the least members of each twin class they meet, and closes each orbit over
-the other generators, each acting as a permutation that keeps such sets
-(`_class_quotient`).  On a host without twins it closes over every k-set.
+The permutations inside the twin classes form a normal subgroup, so each
+orbit is a union of its orbits, and the closure that finds the orbits
+runs over their quotient: it walks only the sets that hold the least
+members of each twin class they meet, and closes each orbit over the
+factor automorphisms, each acting as a permutation that keeps such sets
+(`_least_members`).  On a host without twins it closes over every k-set.
 
 A factor's automorphisms are found by brute force over the permutations of
 its vertices, for factors of at most `_MAX_FACTOR_ORDER` vertices; a larger
@@ -105,39 +106,49 @@ def _factor_generators(P: ProductGraph) -> list:
     return gens
 
 
-def generators(G: Graph) -> list:
-    """Automorphisms of G that generate the group the scan uses: the
-    consecutive twin transpositions, and on a product its factors'
-    automorphisms (see the module docstring)."""
-    gens = []
-    for cls in _twin_classes(G):
-        for a, b in zip(cls, cls[1:]):
-            p = list(range(G.n))
-            p[a], p[b] = b, a
-            gens.append(tuple(p))
-    if isinstance(G, ProductGraph):
-        gens += _factor_generators(G)
-    return list(dict.fromkeys(gens))
-
-
 def orbit_representatives(G: Graph, k: int):
-    """The least k-set of each orbit of the group `generators(G)`
-    generates, in `combinations` order."""
-    return _least_members(G.n, k, generators(G))
+    """The least k-set of each orbit of the group that the permutations
+    inside the twin classes and, on a product, its factors' automorphisms
+    generate, in `combinations` order.
+
+    The classes go to the walk as they are.  A factor automorphism that
+    swaps two vertices a and b and fixes the rest adds nothing to them: v~a
+    iff v~b for every other vertex v, so a and b are twins, in one class,
+    and the walk drops the swap."""
+    gens = _factor_generators(G) if isinstance(G, ProductGraph) else []
+    return _least_members(G.n, k, gens, _twin_classes(G))
 
 
-def _least_members(n, k, gens):
-    """The least k-subset of range(n) in each orbit of the group `gens`
-    generates, in `combinations` order.
+def _least_members(n, k, gens, classes=()):
+    """The least k-subset of range(n) in each orbit of the group that
+    `gens` and the permutations inside each of `classes` generate, in
+    `combinations` order.  Each p in `gens` must map the classes onto
+    classes, as an automorphism maps twin classes.
+
+    The permutations inside the classes then form a normal subgroup, so
+    every orbit is a union of its orbits, the class orbits.  Each class
+    orbit has one class-least member: the set that holds the least j
+    members of each class it meets j times.  Swapping a member for a lower
+    one of its class lowers a set, so an orbit's least member is
+    class-least.  On class-least sets p acts as the permutation q that
+    sends the r-th member of a class to the r-th member of its image
+    class: q(T) is the class-least member of the class orbit of p(T).  A q
+    that is the identity, as for a p that swaps two members of a class and
+    fixes the rest, is dropped, and so is a repeated one.
 
     `combinations` yields the k-sets in lexicographic order, so the first
     set met of an orbit is its least member.  Only class-least sets are
-    met (see `_class_quotient`): on them the group acts through the
-    quotient generators, and an orbit's least member is class-least.  The
-    first set met is yielded and its orbit closed over the quotient
-    generators; every other member is skipped when met, and forgotten then,
-    as each set is met once."""
-    prev, gens = _class_quotient(n, gens)
+    met: a set is skipped unless it holds, for each member v of a class in
+    it, v's next-lower member `prev[v]`.  The first set met is yielded and
+    its orbit closed over the q; every other member is skipped when met,
+    and forgotten then, as each set is met once."""
+    prev = {c[r]: c[r - 1] for c in classes for r in range(1, len(c))}
+    cell = {v: c for c in classes for v in c}
+    ident = tuple(range(n))
+    quotient = dict.fromkeys(
+        tuple(cell[p[v]][cell[v].index(v)] if v in cell else p[v] for v in ident)
+        for p in gens)
+    quotient.pop(ident, None)
     pending = set()
     for S in combinations(range(n), k):
         if prev and any(prev.get(v, v) not in S for v in S):
@@ -150,49 +161,10 @@ def _least_members(n, k, gens):
         orbit = {S}
         while stack:
             T = stack.pop()
-            for p in gens:
-                U = tuple(sorted([p[v] for v in T]))
+            for q in quotient:
+                U = tuple(sorted([q[v] for v in T]))
                 if U not in orbit:
                     orbit.add(U)
                     stack.append(U)
         orbit.discard(S)
         pending |= orbit
-
-
-def _class_quotient(n, gens):
-    """The group `gens` generates, acting on class-least sets.
-
-    The generators that swap two points, the twin transpositions of
-    `generators`, join the points into classes, and the group holds every
-    permutation inside a class.  When each other generator p maps classes
-    onto classes, as an automorphism maps twin classes, these permutations
-    form a normal subgroup, so every orbit is a union of its orbits, the
-    class orbits.  Each class orbit has one class-least member: the set
-    that holds the least j members of each class it meets j times.
-    Swapping a member for a lower one of its class lowers a set, so an
-    orbit's least member is class-least.  On class-least sets, p acts as the permutation q that
-    sends the r-th member of a class to the r-th member of its image class:
-    q(T) is the class-least member of the class orbit of p(T).
-
-    Returns `prev`, each class member's next-lower member of its class (a
-    set T is class-least when it holds prev[v] for each v in it), and the
-    q of the generators that are no swaps.  On a host without twins every
-    class is a single point, so `prev` is empty and each q is p; when some
-    p splits a class, `prev` is empty and `gens` come back as they are."""
-    cell = {v: (v,) for v in range(n)}      # each point's class, sorted
-    others = []
-    for p in gens:
-        moved = [v for v in range(n) if p[v] != v]
-        if len(moved) != 2:
-            others.append(p)
-        elif cell[moved[0]] != cell[moved[1]]:
-            merged = tuple(sorted(cell[moved[0]] + cell[moved[1]]))
-            cell.update((v, merged) for v in merged)
-    quotient = []
-    for p in others:
-        if any(len(cell[p[v]]) != len(cell[v]) or cell[p[v]] != cell[p[cell[v][0]]]
-               for v in range(n)):
-            return {}, gens
-        quotient.append(tuple(cell[p[v]][cell[v].index(v)] for v in range(n)))
-    prev = {c[r]: c[r - 1] for c in set(cell.values()) for r in range(1, len(c))}
-    return prev, quotient

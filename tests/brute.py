@@ -213,7 +213,9 @@ def verify_packing(G, S, trees):
     """Reference packing checker: a DFS over a per-tree adjacency dict for
     connectivity, the same checks in the same order as the package's
     `verify_packing`, and the same verdicts and reasons.  Reads G through
-    `G.n` and `G.has_edge` only; returns (ok, reason).  It trusts vertex
+    `G.n` and `G.has_edge` only; returns (ok, reason).  Every edge is
+    read as a sorted pair, from a tree's `edges` or an id pair list alike,
+    so a reversed edge is the same edge.  It trusts vertex
     ids: `has_edge` indexes a list, so a negative id aliases a real
     vertex, and an id of n or more raises IndexError; `int` truncates a
     non-integer id of an id pair onto a vertex."""
@@ -225,7 +227,7 @@ def verify_packing(G, S, trees):
     vert_sets = []
     for idx, t in enumerate(trees):
         if hasattr(t, "edges"):
-            edges = list(t.edges)
+            edges = [tuple(sorted(e)) for e in t.edges]
         else:
             edges = [tuple(sorted((int(u), int(v)))) for (u, v) in t]
         eset = set()

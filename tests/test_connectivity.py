@@ -277,5 +277,5 @@ class TestSeed:
         augment = _SplitFlowNet._augment
         monkeypatch.setattr(_SplitFlowNet, "_augment",
                             lambda self: passes.append(1) or augment(self))
-        G = family("complete", 300).without_edge(0, 1)
+        G = Graph(300, [e for e in family("complete", 300).edges() if e != (0, 1)])
         assert (vertex_connectivity(G), len(passes)) == (298, 0)

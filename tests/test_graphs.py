@@ -160,10 +160,6 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="vertex count must be nonnegative"):
             Graph(-1)
 
-    def test_removing_an_absent_edge_is_rejected(self):
-        with pytest.raises(ValueError, match=r"edge \(0, 2\) not present"):
-            family("path", 3).without_edge(0, 2)
-
     def test_unflatten_out_of_range_is_rejected(self):
         P = lexicographic_product(family("path", 2), family("path", 3))
         for p in (-1, 6):

@@ -29,8 +29,8 @@ from genconn.fractional import fractional_bound, min_weight_tree
 from genconn.steiner import (GCResult, SteinerTree, _OutOfBudget, _Search,
                              generalized_connectivity, kappa3,
                              max_tree_packing, pair_flow_bound, verify_packing)
-from genconn.symmetry import (_automorphisms, _least_members, _transversal,
-                              _twin_classes, generators, orbit_representatives)
+from genconn.symmetry import (_automorphisms, _factor_generators, _least_members,
+                              _transversal, _twin_classes, orbit_representatives)
 
 CROSS_CHECK_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -362,6 +362,32 @@ class TestScanWork:
         assert empty == [((4, 5, 10), 3, True), ((4, 7, 10), 3, True),
                          ((5, 6, 11), 3, True), ((6, 7, 8), 3, True)]
 
+    def test_the_bound_ends_a_size_before_the_empty_packing(self, monkeypatch):
+        # at size 5 every pass holds two trees, three short, so no back-off
+        # runs; the fractional bound asked after the last pass rules out 5
+        # before the search from the empty packing
+        host = Graph(9, [(0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 4), (1, 7), (1, 8),
+                         (2, 3), (2, 4), (2, 6), (2, 7), (2, 8), (3, 5), (4, 5), (4, 6),
+                         (5, 6), (6, 7), (6, 8), (7, 8)])
+        extended, found = [], []
+        extend, find = _Search._extend, _Search.find
+
+        def counted_extend(self, chosen, last_key, target):
+            extended.append(target)
+            return extend(self, chosen, last_key, target)
+
+        def counted_find(self, target, settled, backoff_first):
+            done = find(self, target, settled, backoff_first)
+            found.append((target, done is not None, sorted(map(len, self.passes.values()))))
+            return done
+
+        monkeypatch.setattr(_Search, "_extend", counted_extend)
+        monkeypatch.setattr(_Search, "find", counted_find)
+        pack = max_tree_packing(host, (0, 2, 6, 7), cap=5)
+        assert (pack.size, pack.exact, pack.hit_cap, pack.nodes) == (4, True, False, 1803)
+        assert found[-1] == (5, False, [2, 2, 2, 2])
+        assert 5 not in extended and 4 in extended
+
     def test_each_pass_builds_each_tree_once(self, monkeypatch):
         # a pass keeps the trees it took for the next size: the first pass
         # on this set takes 8 common stars, one per size, where rebuilding
@@ -397,11 +423,26 @@ class TestScanWork:
         assert builds == Counter({"_common_star": 8})
 
 
+def _generators(G):
+    """Automorphisms of G that generate the group the scan uses, as plain
+    permutations: each twin's transposition with its next twin, and on a
+    product its factors' automorphisms."""
+    gens = []
+    for cls in _twin_classes(G):
+        for a, b in zip(cls, cls[1:]):
+            p = list(range(G.n))
+            p[a], p[b] = b, a
+            gens.append(tuple(p))
+    if isinstance(G, ProductGraph):
+        gens += _factor_generators(G)
+    return list(dict.fromkeys(gens))
+
+
 def _orbits(G, k, gens=None):
     """The k-sets of G in orbits of the group `gens` generates (by default
-    `generators(G)`), each orbit a sorted list, by closure under the
+    `_generators(G)`), each orbit a sorted list, by closure under the
     generators."""
-    gens = generators(G) if gens is None else gens
+    gens = _generators(G) if gens is None else gens
     orbit_of = {}
     orbits = []
     for S in combinations(range(G.n), k):
@@ -509,7 +550,8 @@ class TestTwinOrbitScan:
             assert got.exact and got.value == min(kappa.values()), k
             assert any(got.witness == members[0] for members in orbits)
             with monkeypatch.context() as m:
-                m.setattr(symmetry, "generators", lambda G: [])
+                m.setattr(symmetry, "orbit_representatives",
+                          lambda G, k: combinations(range(G.n), k))
                 full = generalized_connectivity(G, k)
             assert (full.value, full.exact, full.witness) == (got.value, True, got.witness)
             assert got.nodes <= full.nodes
@@ -540,24 +582,39 @@ class TestPairShortcut:
 
 class TestClassQuotient:
     """The orbit walk over class-least sets yields what the closure of
-    every set yields: the least member of each orbit, in `combinations`
-    order."""
+    every set under the twin transpositions and the factor generators
+    yields: the least member of each orbit, in `combinations` order."""
 
-    C4, K4 = family("cycle", 4), family("complete", 4)
-    HOSTS = {**SCAN_HOSTS, "C4oC4": lexicographic_product(C4, C4),
+    C4, K4, P4 = family("cycle", 4), family("complete", 4), family("path", 4)
+    # P4oP3: factor generators that swap two twins and fix the rest, whose
+    # quotient maps are the identity; star4oP4: a twin-free lex host
+    BOTH_K = {**SCAN_HOSTS, "P4oP3": lexicographic_product(P4, family("path", 3)),
+              "star4oP4": lexicographic_product(family("star", 4), P4)}
+    HOSTS = {**BOTH_K, "C4oC4": lexicographic_product(C4, C4),
              "K4oC4": lexicographic_product(K4, C4),
              "C5oK3": lexicographic_product(family("cycle", 5), family("complete", 3))}
 
     @pytest.mark.parametrize("name", sorted(HOSTS))
     def test_against_the_full_closure(self, name):
         G = self.HOSTS[name]
-        for k in (3, 4) if name in SCAN_HOSTS else (3,):
+        for k in (3, 4) if name in self.BOTH_K else (3,):
             want = [members[0] for members in _orbits(G, k)]
             assert list(orbit_representatives(G, k)) == want, (name, k)
 
+    def test_two_point_factor_generators_swap_twins(self):
+        G = self.BOTH_K["P4oP3"]
+        cell = {v: c for c in _twin_classes(G) for v in c}
+        swaps = [p for p in _factor_generators(G)
+                 if sum(p[v] != v for v in range(G.n)) == 2]
+        assert len(swaps) == 2
+        for p in swaps:
+            a, b = (v for v in range(G.n) if p[v] != v)
+            assert cell[a] == cell.get(b), (a, b)
+
     def test_generator_splitting_a_class_falls_back(self):
-        # (0 1) joins a class that (0 2)(1 3) maps onto two one-point
-        # classes, so the walk takes every set and every generator
+        # with no classes handed over the walk closes over every set and
+        # every generator, two-point swaps and class-splitting ones alike:
+        # (0 1) with (0 2)(1 3), which maps {0, 1} onto two other points
         gens = [(1, 0, 2, 3), (2, 3, 0, 1)]
         for k in (1, 2, 3):
             want = [members[0] for members in _orbits(Graph(4), k, gens)]
@@ -589,7 +646,7 @@ class TestGenerators:
     @pytest.mark.parametrize("name", sorted(HOSTS))
     def test_every_generator_maps_the_edges_onto_themselves(self, name):
         G = self.HOSTS[name]
-        gens = generators(G)
+        gens = _generators(G)
         for p in gens:
             assert sorted(p) == list(range(G.n)), name
             assert _keeps_edges(G, p), (name, p)
@@ -598,16 +655,16 @@ class TestGenerators:
 
     def test_benchmark_cartesian_hosts(self):
         for key, P in _benchmark_cartesian_hosts():
-            assert all(_keeps_edges(P, p) for p in generators(P)), key
+            assert all(_keeps_edges(P, p) for p in _factor_generators(P)), key
 
     def test_square_of_a_graph_gets_the_coordinate_swap(self):
         P = PRODUCT_HOSTS["P3xP3"]
         swap = tuple(h * 3 + g for g in range(3) for h in range(3))
-        assert swap in generators(P)
+        assert swap in _factor_generators(P)
         # same order, other labelled graph: no swap
         Q = PRODUCT_HOSTS["P3xP3b"]
         assert not any(all(p[g * 3 + h] == h * 3 + g for g in range(3) for h in range(3))
-                       for p in generators(Q))
+                       for p in _factor_generators(Q))
 
     @pytest.mark.parametrize("name,F,order", [
         ("P4", family("path", 4), 2), ("C5", family("cycle", 5), 10),
@@ -641,12 +698,12 @@ class TestGenerators:
         cells = [divmod(v, m) for v in range(G.n)]
         every = [tuple(g * m + (b[h] if g == g0 else h) for g, h in cells)
                  for b in _automorphisms(G.right) for g0 in range(G.left.n)]
-        assert _orbits(G, 3) == _orbits(G, 3, generators(G) + every)
+        assert _orbits(G, 3) == _orbits(G, 3, _generators(G) + every)
 
     def test_factors_above_seven_vertices_add_none(self):
         C8 = family("cycle", 8)
         assert _transversal(C8) == []
-        assert generators(cartesian_product(C8, family("complete", 1))) == []
+        assert _factor_generators(cartesian_product(C8, family("complete", 1))) == []
 
     def test_atlas_host_settles_exact(self):
         # star:4 box diamond: a budget-limited 2 at (3, 13, 15) when every
@@ -989,6 +1046,17 @@ class TestVerifier:
         assert not v.ok and v.reason == "tree 1 uses 5, not a vertex of the host"
         v = verify_packing(G, (0, 2), [SteinerTree((0, 2), ((0, 1), (1, 7)))])
         assert not v.ok and v.reason == "tree 0 uses 7, not a vertex of the host"
+
+    def test_a_reversed_edge_is_the_same_edge(self):
+        # the second tree stores 0-1 as (1, 0); kappa(S) = 1 on K3
+        G, S = family("complete", 3), (0, 1, 2)
+        trees = [SteinerTree(S, ((0, 1), (1, 2))), SteinerTree(S, ((1, 0), (0, 2)))]
+        for form in (trees, [t.edges for t in trees]):
+            assert brute.verify_packing(G, S, form) == (False, "trees 0 and 1 share edge 0-1")
+            v = verify_packing(G, S, form)
+            assert not v.ok and v.reason == "trees 0 and 1 share edge 0-1"
+        v = verify_packing(G, S, [SteinerTree(S, ((0, 1), (1, 0), (1, 2)))])
+        assert not v.ok and v.reason == "tree 0 repeats edge 0-1"
 
     def test_verdicts_match_the_reference(self):
         # real packings of every 2-, 3- and 4-set of the `TestEveryK` hosts,
