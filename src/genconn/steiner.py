@@ -155,12 +155,11 @@ def verify_packing(G: Graph, S, trees) -> Verdict:
     sets disjoint and vertex intersections exactly S.  Names the first
     violation found.
 
-    Every tree's edges are read one way, as (min, max) pairs, a
-    `SteinerTree`'s as well as an id pair list's, so no edge passes twice
-    by being stored reversed.  Every endpoint is checked to be a vertex
-    0..n-1 of the host before its edge is looked up, and no id is
-    truncated to one, so no id outside the host can pass for one inside
-    it.  Connectivity is read off a union-find over the tree's edges:
+    Every edge is read one way, as a (min, max) pair, in a `SteinerTree`
+    as in an id pair list, so no edge passes twice by being stored
+    reversed.  Every endpoint is checked to be a vertex 0..n-1 of the host
+    before its edge is looked up, and no id is truncated to one, so no id
+    outside the host can pass for one inside it.  Connectivity is read off a union-find over the tree's edges:
     once the tree has |V| - 1 edges it is connected exactly when no edge
     closes a cycle, that is, joins two vertices already linked."""
     n, adj = G.n, G._adj
@@ -175,16 +174,17 @@ def verify_packing(G: Graph, S, trees) -> Verdict:
         verts = set()
         link = {}
         cyclic = False
-        raw = t.edges if isinstance(t, SteinerTree) else t
-        edges = []
-        try:
-            for a, b in raw:
-                u, v = index(a), index(b)
-                edges.append((u, v) if u < v else (v, u))
-        except TypeError:   # an id that `operator.index` refuses
-            bad = next(x for e in raw for x in e if not hasattr(x, "__index__"))
-            return Verdict(False, "tree %d uses %r, not a vertex of the host" % (idx, bad))
+        if isinstance(t, SteinerTree):
+            edges = t.edges
+        else:
+            try:
+                edges = [(index(u), index(v)) for u, v in t]
+            except TypeError:   # an id that `operator.index` refuses
+                bad = next(x for e in t for x in e if not hasattr(x, "__index__"))
+                return Verdict(False, "tree %d uses %r, not a vertex of the host" % (idx, bad))
         for u, v in edges:
+            if u > v:
+                u, v = v, u
             if not (0 <= u < n and 0 <= v < n):
                 return Verdict(False, "tree %d uses %s, not a vertex of the host"
                                % (idx, v if 0 <= u < n else u))
@@ -649,8 +649,8 @@ def generalized_connectivity(G: Graph, k: int, budget: int = DEFAULT_BUDGET) -> 
     generate (`symmetry.orbit_representatives`).  An automorphism maps
     S-trees onto trees of the image set, so kappa(S), the flow bound and
     the degree sum are equal on all sets of an orbit, and its least member
-    sorts first in it.  Once that set is scanned the running minimum is at most its
-    kappa(S), so every later member would only stop at that cap.
+    sorts first in it.  Once that set is scanned the running minimum is at
+    most its kappa(S), so every later member would only stop at that cap.
     Dropping them changes no value, exact flag or witness, only the nodes
     spent and with them where a budget runs out.
     """

@@ -112,9 +112,10 @@ def orbit_representatives(G: Graph, k: int):
     generate, in `combinations` order.
 
     The classes go to the walk as they are.  A factor automorphism that
-    swaps two vertices a and b and fixes the rest adds nothing to them: v~a
-    iff v~b for every other vertex v, so a and b are twins, in one class,
-    and the walk drops the swap."""
+    swaps two vertices a and b and fixes the rest is one of the
+    permutations inside a class already: v~a iff v~b for every other
+    vertex v, so a and b are twins of one class.  Its quotient map is the
+    identity, and the walk drops it."""
     gens = _factor_generators(G) if isinstance(G, ProductGraph) else []
     return _least_members(G.n, k, gens, _twin_classes(G))
 
