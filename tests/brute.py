@@ -6,6 +6,9 @@ plain backtracking over them: paths for two terminals, tripods for three,
 and for four or more every spanning tree of every vertex set containing
 the terminals (hosts of at most 7 vertices).  Nothing in this file is
 clever on purpose, and nothing imports from genconn; keep inputs tiny.
+The last three functions are plain copies of package routines as they
+were before a speedup (the packing checker, the BFS tree, the leg DFS),
+kept for differential tests.
 """
 
 from itertools import combinations
@@ -303,3 +306,47 @@ def bfs_root_paths(n, edges, S, avail, allowed, root):
             out.add((min(s, parent[s]), max(s, parent[s])))
             s = parent[s]
     return tuple(sorted(out))
+
+
+def leg_dfs_trees(search, last_key):
+    """The candidates of the leg DFS of `steiner._Search._trees` without its
+    look-ahead, in the order it builds them, as (sorted edges, vertex set)
+    pairs: every minimal S-tree of the search's unused vertices and free
+    terminal edges whose key, its sorted edge tuple, exceeds `last_key`.
+    Reads the search's `S`, `avail`, `term_set`, `used_s_edges` and
+    `G._nbrs`; ticks nothing."""
+    S, avail, term_set = search.S, search.avail, search.term_set
+    nbrs, blocked = search.G._nbrs, frozenset(search.used_s_edges)
+    floor = last_key[0] if last_key else ()
+    tree = {S[0]: None}
+    edges = []
+    out = []
+
+    def legs(cur, t):
+        for v in nbrs[cur]:
+            if v in tree or not (v in avail or v in term_set):
+                continue
+            e = (cur, v) if cur < v else (v, cur)
+            if e < floor or e in blocked:
+                continue
+            tree[v] = None
+            edges.append(e)
+            if v == t:
+                yield
+            else:
+                yield from legs(v, t)
+            del tree[v]
+            edges.pop()
+
+    def join(i):
+        while i < len(S) and S[i] in tree:
+            i += 1
+        if i == len(S):
+            out.append((tuple(sorted(edges)), set(tree)))
+            return
+        for u in list(tree):
+            for _ in legs(u, S[i]):
+                join(i + 1)
+
+    join(1)
+    return out

@@ -4,6 +4,7 @@ exports resolves.  The committed benchmark records are complete."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 import shlex
@@ -68,3 +69,24 @@ def test_bench_records_are_complete():
                 assert isinstance(nodes, dict) and all(
                     isinstance(v, int) and v >= 0 for v in nodes.values()), where
             assert set(blocks["parent"]["round0_nodes"]) == set(blocks["change"]["round0_nodes"])
+
+
+def test_bench_record_compares_the_two_blocks():
+    # with both blocks in the file, the recorder prints each end-to-end
+    # metric as parent -> change and the round-0 node totals
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "tools" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+
+    def block(wall, nodes):
+        return {"metrics": {"wall_s": {"unit": "s", "value": wall}},
+                "round0_nodes": nodes}
+
+    record = {"workloads": {
+        "search": {"parent": block(0.2, {"a": 60, "b": 40}), "change": block(0.15, {"a": 5, "b": 5})},
+        "idle": {"parent": block(1.0, {}), "change": block(1.0, {})},
+        "half": {"change": block(1.0, {})}}}
+    assert bench_record.comparison(record) == [
+        "search", "  wall_s        0.2 -> 0.15 (-25.0%) s", "  round0_nodes  100 -> 10 (-90.0%)",
+        "idle", "  wall_s        1 -> 1 (+0.0%) s", "  round0_nodes  0 -> 0"]

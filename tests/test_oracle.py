@@ -26,7 +26,7 @@ from genconn.graphs import (Graph, ProductGraph, cartesian_product,
                             connected_component, family, format_edge_list,
                             is_connected, lexicographic_product, parse_edge_list)
 from genconn.fractional import fractional_bound, min_weight_tree
-from genconn.steiner import (GCResult, SteinerTree, _OutOfBudget, _Search,
+from genconn.steiner import (GCResult, SteinerTree, _Candidate, _OutOfBudget, _Search,
                              generalized_connectivity, kappa3,
                              max_tree_packing, pair_flow_bound, verify_packing)
 from genconn.symmetry import (_automorphisms, _factor_generators, _least_members,
@@ -114,12 +114,12 @@ DANGEROUS_LIMIT_HOSTS = {
 # search nodes summed over every k-set of a `TestEveryK` host and the three
 # calls made on it (uncapped, cap = value, cap = value + 1), for k = 3, 4, 5
 EVERY_K_NODES = {
-    "K2oP3": (1411, 2981, 4040), "K2xK3": (2353, 820, 2763),
-    "K2xP3": (672, 1579, 1233), "K3oE2": (904, 4585, 14426),
-    "P3oK2": (1023, 5211, 2749), "random-0": (768, 1457, 961),
-    "random-1": (267, 488, 205), "random-2": (102, 134, 9),
-    "random-3": (36, 9, 0), "random-4": (144, 125, 9),
-    "random-5": (2374, 8742, 11140),
+    "K2oP3": (1280, 2933, 3908), "K2xK3": (2061, 760, 2502),
+    "K2xP3": (494, 1081, 1233), "K3oE2": (856, 3460, 7962),
+    "P3oK2": (945, 4594, 2665), "random-0": (568, 994, 961),
+    "random-1": (249, 382, 205), "random-2": (102, 116, 9),
+    "random-3": (36, 9, 0), "random-4": (138, 108, 9),
+    "random-5": (2083, 6345, 8176),
 }
 
 
@@ -323,18 +323,19 @@ class TestScanWork:
         # the capped set (0, 1, 2, 6) fails its back-offs, then the
         # fractional bound, 3 below the cap 4, settles it (18,196 nodes
         # when the bound waited for all the greedy passes, 416 when every
-        # size rebuilt its passes)
+        # size rebuilt its passes, 366 before the last-tree look-ahead)
         host = lexicographic_product(family("cycle", 4), family("complete", 2))
         got = generalized_connectivity(host, 4)
-        assert (got.value, got.exact, got.witness, got.nodes) == (3, True, (0, 1, 2, 6), 366)
+        assert (got.value, got.exact, got.witness, got.nodes) == (3, True, (0, 1, 2, 6), 362)
 
     def test_packing_work_is_pinned(self):
         # one greedy pass per terminal as the BFS root (18,256 nodes when
         # the greedy made 48 passes with shuffled BFS orders, 4,341 when
-        # every size rebuilt its passes)
+        # every size rebuilt its passes, 4,328 before the last-tree
+        # look-ahead)
         host = lexicographic_product(family("cycle", 4), family("complete", 2))
         pack = max_tree_packing(host, (0, 2, 5, 6))
-        assert (pack.size, pack.exact, pack.nodes) == (4, True, 4328)
+        assert (pack.size, pack.exact, pack.nodes) == (4, True, 3417)
 
     def test_backoff_from_the_empty_packing_is_pinned(self, monkeypatch):
         # C3xC4 read from an edge list, as `genconn kappa --edges` reads it.
@@ -354,7 +355,8 @@ class TestScanWork:
 
         monkeypatch.setattr(_Search, "_extend", counted)
         got = kappa3(host)
-        assert (got.value, got.exact, got.witness, got.nodes) == (3, True, (0, 1, 2), 2876)
+        # 2,876 nodes before the last-tree look-ahead
+        assert (got.value, got.exact, got.witness, got.nodes) == (3, True, (0, 1, 2), 2132)
         assert [t.edges for t in got.packing.trees] == [
             ((0, 3), (0, 4), (1, 5), (2, 3), (4, 5)),
             ((0, 8), (1, 9), (2, 10), (8, 9), (9, 10)),
@@ -384,7 +386,8 @@ class TestScanWork:
         monkeypatch.setattr(_Search, "_extend", counted_extend)
         monkeypatch.setattr(_Search, "find", counted_find)
         pack = max_tree_packing(host, (0, 2, 6, 7), cap=5)
-        assert (pack.size, pack.exact, pack.hit_cap, pack.nodes) == (4, True, False, 1803)
+        # 1,803 nodes before the last-tree look-ahead
+        assert (pack.size, pack.exact, pack.hit_cap, pack.nodes) == (4, True, False, 1416)
         assert found[-1] == (5, False, [2, 2, 2, 2])
         assert 5 not in extended and 4 in extended
 
@@ -861,17 +864,17 @@ class TestFractionalBound:
         assert time.perf_counter() - start < 1.0
         assert pack.nodes <= 1001 and pack.verified
         # above 8 terminals the bound is not asked: the search settles this
-        # set in 283 nodes, where the pricing rounds took over a million
-        # (285 when size 2 rebuilt the first pass's tree; 3,676 when each
-        # of the 12 passes and a last search reran the one failing search
-        # from the empty packing; 13,864 when the greedy reshuffled its BFS
-        # order 48 times)
+        # set in 13 nodes, where the pricing rounds took over a million
+        # (283 before the last-tree look-ahead; 285 when size 2 rebuilt the
+        # first pass's tree; 3,676 when each of the 12 passes and a last
+        # search reran the one failing search from the empty packing;
+        # 13,864 when the greedy reshuffled its BFS order 48 times)
         pack = max_tree_packing(G, S)
-        assert (pack.size, pack.exact, pack.nodes) == (1, True, 283)
-        # the same on C20 with 10 terminals (199 nodes with the rebuild,
-        # 2,164 with the reruns)
+        assert (pack.size, pack.exact, pack.nodes) == (1, True, 13)
+        # the same on C20 with 10 terminals (197 nodes before the
+        # look-ahead, 199 with the rebuild, 2,164 with the reruns)
         pack = max_tree_packing(family("cycle", 20), tuple(range(0, 20, 2)))
-        assert (pack.size, pack.exact, pack.nodes) == (1, True, 197)
+        assert (pack.size, pack.exact, pack.nodes) == (1, True, 13)
 
     def test_one_search_from_the_empty_packing_per_size(self, monkeypatch):
         # a back-off that undoes a whole pass is the search from the empty
@@ -1036,6 +1039,19 @@ class TestVerifier:
             v = verify_packing(G, (0, 2), [[(0, 1), (1, 2)], [(0, 4), (4, bad)]])
             assert not v.ok and v.reason == "tree 1 uses %r, not a vertex of the host" % bad
 
+    @pytest.mark.parametrize("trees,reason", [
+        ([[(0, 1, 2)]], "tree 0 has (0, 1, 2), not a vertex pair"),
+        ([[(0,)]], "tree 0 has (0,), not a vertex pair"),
+        ([[5]], "tree 0 has 5, not a vertex pair"),
+        ([[(0, 1), (1, 2)], [(0, 4), 4]], "tree 1 has 4, not a vertex pair"),
+        ([[(0, 1), (1, 2)], [(0, 4), (4, None)]], "tree 1 uses None, not a vertex of the host"),
+        ([None], "tree 0 is None, not a list of edges"),
+    ])
+    def test_a_tree_that_is_not_a_list_of_pairs(self, trees, reason):
+        # a verdict that names the tree, not a ValueError or TypeError
+        v = verify_packing(self.host(), (0, 2), trees)
+        assert not v.ok and v.reason == reason
+
     def test_vertex_ids_beyond_the_host(self):
         # an edge with both ends at n or above gets a verdict, not an IndexError
         G = self.host()
@@ -1163,7 +1179,7 @@ class TestCandidates:
             for S in combinations(range(G.n), k):
                 search = _Search(G, S, 10 ** 9, range(G.n))
                 search.avail = set(rng.sample(sorted(search.free), len(search.free) // 2 + 1))
-                found = list(search._trees(None)) + [search._common_star(),
+                found = list(search._trees(None, False)) + [search._common_star(),
                                                      search._last_tree()]
                 for c in found:
                     if c is None:
@@ -1171,3 +1187,71 @@ class TestCandidates:
                     touched = {v for e in c.edges for v in e}
                     assert c.internals == touched - set(S)
                     assert c.s_edges == {(u, v) for u, v in c.edges if {u, v} <= set(S)}
+
+    @staticmethod
+    def _every_call(G):
+        # the calls `TestEveryK` makes: each 3-, 4- and 5-set, uncapped,
+        # capped at its value and capped one above
+        for k in (3, 4, 5):
+            for S in combinations(range(G.n), k):
+                value = max_tree_packing(G, S).size
+                for cap in ([value] if value else []) + [value + 1]:
+                    max_tree_packing(G, S, cap=cap)
+
+    def test_look_ahead_keeps_the_candidates_with_room_for_the_last_tree(self, monkeypatch):
+        # at every node one tree short of the last, the leg DFS yields the
+        # candidates of the leg DFS without look-ahead after which
+        # `_last_tree` finds a tree, in the same order, on every host
+        extend = _Search._extend
+        kept = Counter()
+
+        def checked(self, chosen, last_key, target):
+            if target - len(chosen) == 2:
+                nodes = self.nodes
+                got = [c.edges for c in self._trees(last_key, True)]
+                want = []
+                for edges, verts in brute.leg_dfs_trees(self, last_key):
+                    cand = _Candidate(edges, verts, self.term_set, self.s_edges_all)
+                    self._apply(cand)
+                    if self._last_tree() is not None:
+                        want.append(edges)
+                    self._undo(cand)
+                    kept[edges in want] += 1
+                self.nodes = nodes
+                assert got == want, (self.S, chosen, target)
+            return extend(self, chosen, last_key, target)
+
+        monkeypatch.setattr(_Search, "_extend", checked)
+        for G in EVERY_K_HOSTS.values():
+            self._every_call(G)
+        # both kinds occur: candidates kept and candidates dropped
+        assert kept[True] and kept[False], kept
+
+    def test_look_ahead_runs_only_before_the_last_tree(self, monkeypatch):
+        # the leg DFS's residual BFS, told apart from `_last_tree`'s by the
+        # partial tree it is handed, runs only at nodes one tree short of
+        # the last, although the searches also reach nodes further short
+        extend, reach = _Search._extend, _Search._reach
+        remaining = []
+        entered, checks = Counter(), Counter()
+
+        def tracked(self, chosen, last_key, target):
+            remaining.append(target - len(chosen))
+            entered[remaining[-1]] += 1
+            try:
+                return extend(self, chosen, last_key, target)
+            finally:
+                remaining.pop()
+
+        def counted(self, root, taken, blocked):
+            if taken:
+                checks[remaining[-1]] += 1
+            return reach(self, root, taken, blocked)
+
+        monkeypatch.setattr(_Search, "_extend", tracked)
+        monkeypatch.setattr(_Search, "_reach", counted)
+        for G in EVERY_K_HOSTS.values():
+            self._every_call(G)
+        assert kappa3(cartesian_product(family("cycle", 3), family("cycle", 4))).exact
+        assert max(entered) > 2 and checks[2], (entered, checks)
+        assert set(checks) == {2}, checks

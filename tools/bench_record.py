@@ -16,6 +16,10 @@ Each run gets a fresh, empty bytecode cache (``PYTHONPYCACHEPREFIX``), so
 ``setup_s`` never reads a ``__pycache__`` left in the checkout by earlier
 runs, and a working checkout's block compares with a fresh clone's.
 
+Once the file holds both blocks, the script prints, per workload, each
+end-to-end metric as parent -> change with its relative change, and the
+round-0 node totals, so a record is quoted from its file.
+
 Standard library only.  A block from a machine with another CPU model or
 processor count is refused, because its times would not compare with the
 other block's.
@@ -71,6 +75,30 @@ def block_of(report):
             "failed": result["failed"], "round0_nodes": report["round0_nodes"]}
 
 
+def _change(before, after):
+    """`before -> after` with the relative change, or none when before is 0."""
+    if not before:
+        return "%.6g -> %.6g" % (before, after)
+    return "%.6g -> %.6g (%+.1f%%)" % (before, after, 100.0 * (after - before) / before)
+
+
+def comparison(record):
+    """Lines comparing the parent and change blocks of every workload that
+    has both: each end-to-end metric, then the round-0 node totals."""
+    lines = []
+    for name, blocks in record["workloads"].items():
+        if not ("parent" in blocks and "change" in blocks):
+            continue
+        parent, change = blocks["parent"], blocks["change"]
+        lines.append(name)
+        for metric, entry in sorted(parent["metrics"].items()):
+            after = change["metrics"][metric]["value"]
+            lines.append("  %-13s %s %s" % (metric, _change(entry["value"], after), entry["unit"]))
+        lines.append("  %-13s %s" % ("round0_nodes", _change(
+            sum(parent["round0_nodes"].values()), sum(change["round0_nodes"].values()))))
+    return lines
+
+
 def same_machine(a, b):
     return a.get("cpu") == b.get("cpu") and a.get("nproc") == b.get("nproc")
 
@@ -103,6 +131,8 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    for line in comparison(record):
+        print(line)
     return 0
 
 
