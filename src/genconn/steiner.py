@@ -555,7 +555,7 @@ class _Search:
         """
         S, avail, term_set, tick = self.S, self.avail, self.term_set, self.tick
         nbrs, s_edges_all, reach = self.G._nbrs, self.s_edges_all, self._reach
-        blocked = set(self.used_s_edges)    # and the tree's own terminal edges
+        blocked = set(self.used_s_edges)    # and, as it grows, the tree's own
         floor = last_key[0] if last_key else ()
         tree = {S[0]: None}     # the tree's vertices, in the order they joined
         edges = []
