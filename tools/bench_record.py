@@ -76,7 +76,7 @@ def block_of(report):
 
 
 def _change(before, after):
-    """`before -> after` with the relative change, or none when before is 0."""
+    """`before -> after`, with the relative change unless before is 0."""
     if not before:
         return "%.6g -> %.6g" % (before, after)
     return "%.6g -> %.6g (%+.1f%%)" % (before, after, 100.0 * (after - before) / before)
