@@ -29,15 +29,14 @@ terminal-terminal edges that no tree uses yet.  Prunes, all sound:
   edge-disjoint, internally disjoint outside S, and each passage through a
   third terminal z burns two of z's edges; so a max flow with unit caps on
   non-terminals and floor(deg(z)/2) caps on other terminals bounds the
-  remaining packing size.  Once a tree is chosen, the search applies
-  `pair_flow_bound`, as on the whole host, to the residual edges on the
-  host's vertex ids (a used vertex is isolated).  It implies the residual
-  terminal degree prune: a pair's bound is at most min(deg_R x, deg_R y),
-  and each edge a chosen tree takes at s leaves the residual graph R.
-  With no tree chosen, the target is at most the host's pair flow bound,
-  itself at most the least terminal degree.  A pair whose local
-  connectivity reaches min(deg x, deg y) needs no capped flow of its own
-  (see `pair_flow_bound`);
+  remaining packing size.  With no tree chosen, the target is at most the
+  host's bound, `pair_flow_bound`.  Once a tree is chosen, `_extend` checks
+  the residual graph R, the residual edges on the host's vertex ids, in
+  order: first each terminal's degree in R, as each remaining tree takes a
+  residual edge of its own at every terminal; then one capped flow per pair
+  on R, stopped at `remaining`.  The order changes no verdict, since a
+  pair's capped flow never exceeds the smaller of its two degrees, but
+  most checks end at the degrees, with no R built and no flow set up;
 - last-tree look-ahead: when one tree is to follow the candidate, the leg
   DFS drops a partial candidate as soon as the terminals are cut apart in
   the residual it leaves, the unused vertices outside it and the free
@@ -89,9 +88,10 @@ exists, so a budget-limited value is never below 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from operator import index
 
 from .connectivity import capped_flow_value, disjoint_paths, local_connectivity
@@ -258,11 +258,9 @@ def _malformed(idx, t) -> str:
     return "tree %d is not a list of vertex id pairs" % idx
 
 
-def pair_flow_bound(G: Graph, S, cutoff: int = 1) -> int:
-    """Sound upper bound on the packing size; see the module docstring.
-
-    Returns as soon as the bound drops below `cutoff`; the default stops
-    only at 0.
+def pair_flow_bound(G: Graph, S) -> int:
+    """Sound upper bound on kappa(S) in the host G, the least capped flow
+    over the pairs of S (see the module docstring); the scan's set key.
 
     A pair's capped flow is read off the local connectivity kappa(x, y),
     kept per graph, when kappa(x, y) = min(deg x, deg y); then the capped
@@ -271,21 +269,16 @@ def pair_flow_bound(G: Graph, S, cutoff: int = 1) -> int:
     at most once; as floor(deg z / 2) >= 1 on those, the paths fit the caps
     of the other terminals too, so the capped flow is at least kappa(x, y).
     Each of its units leaves x and enters y by its own edge, so it is at
-    most min(deg x, deg y).  Any other pair runs the capped flow itself.
-    The search's residual graph is new at every node and keeps nothing."""
+    most min(deg x, deg y).  Any other pair runs the capped flow itself."""
     S = sorted(S)
     best = _BIG
-    for i in range(len(S)):
-        for j in range(i + 1, len(S)):
-            x, y = S[i], S[j]
-            most = min(G.degree(x), G.degree(y))
-            if local_connectivity(G, x, y) == most:
-                best = min(best, most)
-            else:
-                caps = {z: G.degree(z) // 2 for z in S if z != x and z != y}
-                best = min(best, capped_flow_value(G, x, y, caps, limit=best))
-            if best < cutoff:
-                return best
+    for x, y in combinations(S, 2):
+        most = min(G.degree(x), G.degree(y))
+        if local_connectivity(G, x, y) == most:
+            best = min(best, most)
+        else:
+            caps = {z: G.degree(z) // 2 for z in S if z != x and z != y}
+            best = min(best, capped_flow_value(G, x, y, caps, limit=best))
     return best
 
 
@@ -436,8 +429,15 @@ class _Search:
         edges = self._residual_edges()
         if remaining * (len(self.S) - 1) > len(edges):
             return None
-        if chosen and pair_flow_bound(Graph(self.G.n, edges), self.S, remaining) < remaining:
-            return None
+        if chosen:
+            deg = Counter(chain.from_iterable(edges))
+            if min(deg[s] for s in self.S) < remaining:
+                return None
+            R = Graph(self.G.n, edges)
+            for x, y in combinations(self.S, 2):
+                caps = {z: deg[z] // 2 for z in self.S if z != x and z != y}
+                if capped_flow_value(R, x, y, caps, limit=remaining) < remaining:
+                    return None
         for cand in self._trees(last_key, remaining == 2):
             self._apply(cand)
             result = self._extend(chosen + [cand], cand.edges, target)

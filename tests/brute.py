@@ -6,9 +6,11 @@ plain backtracking over them: paths for two terminals, tripods for three,
 and for four or more every spanning tree of every vertex set containing
 the terminals (hosts of at most 7 vertices).  Nothing in this file is
 clever on purpose, and nothing imports from genconn; keep inputs tiny.
-The last three functions are plain copies of package routines as they
-were before a speedup (the packing checker, the BFS tree, the leg DFS),
-kept for differential tests.
+The last four functions are plain copies of package routines as they
+were before a speedup (the packing checker, the BFS tree, the leg DFS,
+the search's residual check), kept for differential tests; the residual
+check runs the package's own capped flow, the one import from genconn,
+on a graph it builds itself.
 """
 
 from itertools import combinations
@@ -350,3 +352,17 @@ def leg_dfs_trees(search, last_key):
 
     join(1)
     return out
+
+
+def residual_bound_below(n, edges, S, remaining):
+    """The residual check of `steiner._Search._extend` as it ran before it
+    counted terminal degrees: on a fresh `Graph` of `edges`, the least
+    capped flow over the terminal pairs, each other terminal z capped at
+    floor(deg z / 2), every flow run in full, with no limit and nothing
+    read from a cache; True when that least flow is below `remaining`."""
+    from genconn.connectivity import capped_flow_value
+    from genconn.graphs import Graph
+    R = Graph(n, edges)
+    return min(capped_flow_value(R, x, y, {z: R.degree(z) // 2 for z in S
+                                           if z != x and z != y})
+               for x, y in combinations(sorted(S), 2)) < remaining

@@ -244,6 +244,17 @@ class TestConventions:
         assert isinstance(got, GCResult)
         assert got.witness in set(combinations(range(4), 3))
 
+    def test_results_compare_by_value_and_exactness(self):
+        C5 = family("cycle", 5)
+        got, again, limited = kappa3(C5), kappa3(C5), kappa3(C5, budget=1)
+        assert got == again and not got != again
+        # one value, one exact and one budget-limited
+        assert (got.value, got.exact, limited.value, limited.exact) == (1, True, 1, False)
+        assert got != limited and not got == limited
+        assert got != "1" and not got == "1"
+        assert repr(got) == "GCResult(value=1, exact, nodes=%d)" % got.nodes
+        assert repr(limited) == "GCResult(value=1, budget-limited, nodes=%d)" % limited.nodes
+
 
 class TestScanWork:
     """The scan's bookkeeping: what it computes per terminal set, and the
@@ -256,17 +267,17 @@ class TestScanWork:
         seen = []
         original = steiner.pair_flow_bound
 
-        def counted(G, S, cutoff=1):
+        def counted(G, S):
             seen.append(G)
-            return original(G, S, cutoff)
+            return original(G, S)
 
         monkeypatch.setattr(steiner, "pair_flow_bound", counted)
         got = kappa3(host)
         assert got.exact and got.value == 3
         orbits = _orbits(host, 3)
         assert len(orbits) == 42
-        # bounds on residual graphs inside the search are not counted
-        assert sum(G is host for G in seen) == len(orbits)
+        # the search's residual checks run their own flows, not this bound
+        assert len(seen) == len(orbits) and all(G is host for G in seen)
 
     def test_flow_calls_are_pinned(self, monkeypatch):
         # 42 local connectivities, one per pair met, and 64 capped flows for
@@ -286,6 +297,21 @@ class TestScanWork:
         monkeypatch.setattr(steiner, "capped_flow_value", counted)
         assert kappa3(host).value == 3
         assert (len(calls), len(host._pair_kappa)) == (106, 42)
+
+    def test_residual_checks_count_degrees_before_flows(self, monkeypatch):
+        # K4 box K4 at 20k: 13 flow networks, the 10 local connectivities
+        # of the scan's keys on the host and the 3 pair flows of the one
+        # residual check whose terminal degrees all suffice (499 when
+        # every residual check ran its flows)
+        from genconn.connectivity import _SplitFlowNet
+        host = cartesian_product(family("complete", 4), family("complete", 4))
+        nets = []
+        init = _SplitFlowNet.__init__
+        monkeypatch.setattr(_SplitFlowNet, "__init__",
+                            lambda self, G, *a, **kw: nets.append(G) or init(self, G, *a, **kw))
+        got = kappa3(host, budget=20_000)
+        assert (got.value, got.exact, got.witness, got.nodes) == (4, False, (0, 5, 10), 20_001)
+        assert (len(nets), sum(G is host for G in nets)) == (13, 10)
 
     def test_bfs_passes_are_pinned(self, monkeypatch):
         # every flow takes its one- and two-edge paths with no BFS, so
@@ -534,10 +560,10 @@ class TestTwinOrbitScan:
         scanned = []
         original = steiner.pair_flow_bound
 
-        def counted(H, S, cutoff=1):
+        def counted(H, S):
             if H is G:
                 scanned.append(tuple(S))
-            return original(H, S, cutoff)
+            return original(H, S)
 
         monkeypatch.setattr(steiner, "pair_flow_bound", counted)
         for k in (3, 4) if G.n <= brute.MINIMAL_TREES_MAX_ORDER else (3,):
@@ -1255,3 +1281,41 @@ class TestCandidates:
         assert kappa3(cartesian_product(family("cycle", 3), family("cycle", 4))).exact
         assert max(entered) > 2 and checks[2], (entered, checks)
         assert set(checks) == {2}, checks
+
+
+class TestResidualCheck:
+    """The search's residual check, terminal degrees before one capped flow
+    per pair, against the least capped flow run directly on a fresh
+    residual graph (`brute.residual_bound_below`)."""
+
+    def test_cuts_exactly_where_the_direct_flows_do(self, monkeypatch):
+        # at every node with a tree chosen that passes both supply prunes,
+        # on every call `TestEveryK` makes, the node is cut, returning None
+        # after its own tick alone, exactly when the reference bound is
+        # below the number of trees still to find
+        extend = _Search._extend
+        cuts = Counter()
+
+        def checked(self, chosen, last_key, target):
+            remaining = target - len(chosen)
+            live = self.avail | self.term_set
+            edges = [(u, v) for u, v in self.G.edges()
+                     if u in live and v in live and (u, v) not in self.used_s_edges]
+            spare = (len(self.s_edges_all) - len(self.used_s_edges)) // (len(self.S) - 1)
+            if (not chosen or remaining == 1 or remaining > len(self.avail) + spare
+                    or remaining * (len(self.S) - 1) > len(edges)):
+                return extend(self, chosen, last_key, target)
+            want = brute.residual_bound_below(self.G.n, edges, self.S, remaining)
+            short = min(sum(s in e for e in edges) for s in self.S) < remaining
+            nodes = self.nodes
+            result = extend(self, chosen, last_key, target)
+            cut = result is None and self.nodes == nodes + 1
+            assert cut == want, (self.S, chosen, target)
+            cuts[cut, short] += 1
+            return result
+
+        monkeypatch.setattr(_Search, "_extend", checked)
+        for G in EVERY_K_HOSTS.values():
+            TestCandidates._every_call(G)
+        # nodes cut at a terminal's degree, cut by a flow, and not cut
+        assert cuts[True, True] and cuts[True, False] and cuts[False, False], cuts
